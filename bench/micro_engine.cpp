@@ -2,38 +2,44 @@
 // queue disciplines, link forwarding, and a full dumbbell in flight.
 #include <benchmark/benchmark.h>
 
+#include "heap_scheduler.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/packet_pool.hpp"
 #include "net/red_queue.hpp"
 #include "scenario/dumbbell.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wheel_scheduler.hpp"
 #include "traffic/cbr_source.hpp"
 
 using namespace slowcc;
 
 // The two event-queue benchmarks run once per engine (name suffix
-// /heap, /wheel); tools/bench_report pairs the variants up and reports
-// the wheel:heap speedup in BENCH_engine.json.
-static void BM_EventQueueScheduleRun(benchmark::State& state,
-                                     sim::EngineKind kind) {
+// /heap, /wheel): the production timer wheel against the reference
+// heap the differential tests compare it with (tests/heap_scheduler).
+// tools/bench_report pairs the variants up and reports the wheel:heap
+// speedup in BENCH_engine.json.
+template <class Engine>
+static void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Simulator sim{kind};
+    Engine q;
     for (int i = 0; i < 1000; ++i) {
-      sim.schedule_at(sim::Time::micros(i), [] {});
+      q.schedule(sim::Time::micros(i), [] {});
     }
-    sim.run();
-    benchmark::DoNotOptimize(sim.events_executed());
+    sim::PoppedEvent ev;
+    while (!q.empty()) q.pop(&ev)();
+    benchmark::DoNotOptimize(ev.seq);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK_CAPTURE(BM_EventQueueScheduleRun, heap, sim::EngineKind::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueueScheduleRun, wheel, sim::EngineKind::kWheel);
+BENCHMARK(BM_EventQueueScheduleRun<test::HeapScheduler>)->Name(
+    "BM_EventQueueScheduleRun/heap");
+BENCHMARK(BM_EventQueueScheduleRun<sim::WheelScheduler>)->Name(
+    "BM_EventQueueScheduleRun/wheel");
 
-static void BM_EventQueueCancelHeavy(benchmark::State& state,
-                                     sim::EngineKind kind) {
+template <class Engine>
+static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
-    sim::EventQueue q{kind};
+    Engine q;
     std::vector<sim::EventId> ids;
     ids.reserve(1000);
     for (int i = 0; i < 1000; ++i) {
@@ -44,8 +50,10 @@ static void BM_EventQueueCancelHeavy(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK_CAPTURE(BM_EventQueueCancelHeavy, heap, sim::EngineKind::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueueCancelHeavy, wheel, sim::EngineKind::kWheel);
+BENCHMARK(BM_EventQueueCancelHeavy<test::HeapScheduler>)->Name(
+    "BM_EventQueueCancelHeavy/heap");
+BENCHMARK(BM_EventQueueCancelHeavy<sim::WheelScheduler>)->Name(
+    "BM_EventQueueCancelHeavy/wheel");
 
 static void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   net::DropTailQueue q(64);

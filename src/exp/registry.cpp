@@ -293,14 +293,7 @@ Row run_poison(const TrialDesc& d) {
 ///   events=N          -> safety cap on the event chain, so unbudgeted
 ///                        invocations terminate instead of eating the
 ///                        machine
-///   sleep_ms=T        -> hold the worker first (smoke tests kill a
-///                        fleet worker mid-bomb)
 Row run_membomb(const TrialDesc& d) {
-  const double sleep_ms = d.param("sleep_ms", 0.0);
-  if (sleep_ms > 0.0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(sleep_ms));
-  }
   const int bomb_trial = static_cast<int>(d.param("bomb_trial", -1.0));
   const bool bomb =
       d.param("bomb", 0.0) != 0.0 || (bomb_trial >= 0 &&
@@ -466,8 +459,7 @@ std::vector<Experiment>& registry_storage() {
        "a resource budget stops, exercising the ResourceGovernor and "
        "quarantine peak fields end to end (self-test only)",
        {"value", "events_run", "queued_pkts"},
-       {"bomb=0", "bomb_trial=-1", "pkts_per_event=16", "events=256",
-        "sleep_ms=0"},
+       {"bomb=0", "bomb_trial=-1", "pkts_per_event=16", "events=256"},
        run_membomb,
        /*weight=*/2},
   };

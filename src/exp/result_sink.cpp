@@ -182,8 +182,8 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, slash);
 }
 
-}  // namespace
-
+/// fsync the directory containing `path` so a completed rename within
+/// it survives a crash.
 bool fsync_parent_dir(const std::string& path, std::string* error) {
   std::error_code ec;
   const std::string dir = std::filesystem::is_directory(path, ec)
@@ -201,6 +201,8 @@ bool fsync_parent_dir(const std::string& path, std::string* error) {
   return ok;
 }
 
+}  // namespace
+
 std::string atomic_staging_name(const std::string& path, long pid,
                                 std::uint64_t seq) {
   return path + ".tmp." + std::to_string(pid) + "." + std::to_string(seq);
@@ -208,10 +210,9 @@ std::string atomic_staging_name(const std::string& path, long pid,
 
 bool write_file_atomic(const std::string& path, const std::string& content,
                        std::string* error) {
-  // Pid+sequence staging name: two fleet workers finalizing the same
-  // file concurrently must not truncate each other's tmp mid-write —
-  // the pid separates processes, the counter separates threads (e.g.
-  // two in-process FleetWorkers) that share one.
+  // Pid+sequence staging name: two writers finalizing the same file
+  // concurrently must not truncate each other's tmp mid-write — the
+  // pid separates processes, the counter separates threads.
   static std::atomic<std::uint64_t> seq{0};
   const std::string tmp = atomic_staging_name(
       path, static_cast<long>(::getpid()), seq.fetch_add(1));
@@ -240,32 +241,6 @@ bool write_file_atomic(const std::string& path, const std::string& content,
   // right here can roll the directory entry back to the old file (or
   // to nothing, for a first write) on journaling filesystems.
   return fsync_parent_dir(path, error);
-}
-
-ExclusiveWrite write_file_exclusive(const std::string& path,
-                                    const std::string& content,
-                                    std::string* error) {
-  // slowcc-lint: allow(no-unguarded-shared-write) this IS the sanctioned O_EXCL claim helper
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return ExclusiveWrite::kExists;
-    if (error) *error = "cannot create " + path;
-    return ExclusiveWrite::kError;
-  }
-  const bool ok = write_all(fd, content) && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok) {
-    if (error) *error = "write failed: " + path;
-    // Leave the (torn) file in place: we DID win the claim; a torn
-    // lease ages out via the staleness TTL like any dead owner's.
-    return ExclusiveWrite::kError;
-  }
-  std::string dir_err;
-  if (!fsync_parent_dir(path, &dir_err)) {
-    if (error) *error = dir_err;
-    return ExclusiveWrite::kError;
-  }
-  return ExclusiveWrite::kCreated;
 }
 
 JsonlAppender::JsonlAppender(const std::string& path) : path_(path) {

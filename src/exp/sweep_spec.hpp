@@ -45,7 +45,9 @@ struct TrialDesc {
 /// A parameter grid over one experiment. `expand()` turns it into the
 /// full cross product of trial descriptors with per-trial seeds.
 struct SweepSpec {
-  std::string experiment = "static_compat";
+  /// Required: expand() refuses an unnamed experiment rather than
+  /// running some default grid the caller never asked for.
+  std::string experiment;
   std::vector<std::string> algorithms = {"tcp"};
   std::vector<double> bandwidths_bps;  // empty => experiment default
   std::vector<double> rtts_ms;         // empty => experiment default

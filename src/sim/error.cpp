@@ -20,12 +20,6 @@ const char* to_string(SimErrc code) noexcept {
       return "deadline-exceeded";
     case SimErrc::kTrialAborted:
       return "trial-aborted";
-    case SimErrc::kLeaseLost:
-      return "lease-lost";
-    case SimErrc::kLeaseExpired:
-      return "lease-expired";
-    case SimErrc::kFleetDegraded:
-      return "fleet-degraded";
     case SimErrc::kBadSpec:
       return "bad-spec";
     case SimErrc::kResourceExhausted:

@@ -1,99 +1,14 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "sim/scheduler.hpp"
-#include "sim/time.hpp"
+#include "sim/wheel_scheduler.hpp"
 
 namespace slowcc::sim {
 
-/// Priority queue of timestamped callbacks — a thin facade over a
-/// pluggable `Scheduler` engine (see scheduler.hpp).
-///
-/// Events with equal timestamps fire in insertion order, which keeps
-/// simulations deterministic; every engine honours the same (at, seq)
-/// ordering contract, enforced by the differential tests in
-/// tests/engine_diff.hpp. The default engine is the hierarchical timer
-/// wheel; pass EngineKind::kHeap (or set SLOWCC_ENGINE=heap) to use the
-/// original binary heap.
-class EventQueue {
- public:
-  using Callback = Scheduler::Callback;
-
-  EventQueue() : EventQueue(default_engine()) {}
-  explicit EventQueue(EngineKind kind)
-      : kind_(kind), engine_(make_scheduler(kind)) {}
-
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-
-  /// Schedule `cb` at absolute time `at`. Returns a handle usable with
-  /// `cancel`.
-  EventId schedule(Time at, Callback cb) {
-    return engine_->schedule(at, std::move(cb));
-  }
-
-  /// Cancel a previously scheduled event. Cancelling an already-fired
-  /// or already-cancelled event is a harmless no-op.
-  void cancel(EventId id) { engine_->cancel(id); }
-
-  [[nodiscard]] bool empty() const noexcept { return engine_->size() == 0; }
-
-  /// Timestamp of the earliest live event. Throws SimError
-  /// (kBadSchedule) when no live event remains — an all-cancelled
-  /// queue counts as empty. Non-const because engines may advance
-  /// internal cursors (the result is still observably pure).
-  [[nodiscard]] Time next_time() { return engine_->next_time(); }
-
-  /// Pop and return the earliest live event's callback. Throws SimError
-  /// (kBadSchedule) when no live event remains.
-  [[nodiscard]] Callback pop(Time* fire_time) {
-    PoppedEvent ev;
-    Callback cb = engine_->pop(&ev);
-    if (fire_time != nullptr) *fire_time = ev.at;
-    return cb;
-  }
-
-  /// Like pop(Time*) but also reports the FIFO sequence number, which
-  /// Simulator folds into its trace digest.
-  [[nodiscard]] Callback pop_event(PoppedEvent* out) {
-    return engine_->pop(out);
-  }
-
-  /// (at, seq) of the earliest live event without popping. Throws
-  /// SimError (kBadSchedule) when no live event remains.
-  [[nodiscard]] PoppedEvent peek() { return engine_->peek(); }
-
-  /// Consume the next FIFO sequence number without storing an event —
-  /// the hook batched drain chains use to keep the executed (at, seq)
-  /// stream identical to the one-event-per-departure schedule.
-  [[nodiscard]] std::uint64_t mint_seq() noexcept {
-    return engine_->mint_seq();
-  }
-
-  /// Number of live (non-cancelled) events.
-  [[nodiscard]] std::size_t size() const noexcept { return engine_->size(); }
-
-  /// Timestamps of the earliest live events, ascending, at most
-  /// `max_entries` of them. O(n log n); meant for diagnostic dumps
-  /// (Watchdog), not hot paths.
-  [[nodiscard]] std::vector<Time> pending_times(std::size_t max_entries) const {
-    return engine_->pending_times(max_entries);
-  }
-
-  [[nodiscard]] EngineKind engine_kind() const noexcept { return kind_; }
-  [[nodiscard]] const char* engine_name() const noexcept {
-    return engine_->name();
-  }
-  [[nodiscard]] SchedulerStats stats() const noexcept {
-    return engine_->stats();
-  }
-
- private:
-  EngineKind kind_;
-  std::unique_ptr<Scheduler> engine_;
-};
+/// The simulator's event queue: a priority queue of timestamped
+/// callbacks, backed by the hierarchical timer wheel. Events with equal
+/// timestamps fire in insertion order, which keeps simulations
+/// deterministic; tests/engine_diff.hpp holds the wheel to a reference
+/// binary heap on every observable.
+using EventQueue = WheelScheduler;
 
 }  // namespace slowcc::sim

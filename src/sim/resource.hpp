@@ -12,7 +12,7 @@ namespace slowcc::sim {
 /// Snapshot of the governor's usage model, both the live values at one
 /// poll and the running peaks over a trial. All fields are derived from
 /// logical simulation state (live events, live packets, queued bytes),
-/// so they are identical across engines, thread counts, and processes —
+/// so they are identical across thread counts and processes —
 /// safe to serialize into deterministic result rows.
 struct ResourceUsage {
   std::uint64_t live_events = 0;
@@ -41,16 +41,14 @@ struct ResourceUsage {
 /// deterministic detail string.
 ///
 /// The model is intentionally coarse — the point is not byte-accurate
-/// RSS accounting but a deterministic, engine-independent proxy that
-/// aborts the same trial at the same event on every run. Process-level
-/// defense (real RSS vs /proc/meminfo) lives in the fleet's admission
-/// control, not here.
+/// RSS accounting but a deterministic proxy that aborts the same trial
+/// at the same event on every run.
 class ResourceGovernor {
  public:
   using WatermarkCallback = std::function<void(const ResourceUsage&)>;
 
   /// Modeled per-object footprints (bytes). Deliberately round numbers:
-  /// a pooled scheduler node is ~48-72 bytes depending on engine, a
+  /// a pooled timer-wheel node is ~72 bytes, a
   /// Packet with bookkeeping ~100-150. Changing them changes which
   /// event a bomb trial aborts at, so they are part of the determinism
   /// contract — bump only with the golden journals.

@@ -3,19 +3,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "sim/time.hpp"
 
 namespace slowcc::sim {
 
-class Scheduler;
+// The public callback type IS the API boundary the hot-path rule carves
+// out; the engine pools the POD *entries* around it.
+// slowcc-lint: allow(no-std-function-hot-path) API-boundary callback type
+using EventCallback = std::function<void()>;
 
 /// Opaque handle to a scheduled event, used for cancellation. The raw
-/// encoding is engine-specific (the heap uses the sequence number, the
-/// timer wheel packs a pool slot and a generation counter), so ids must
-/// never be compared across queues or engines.
+/// encoding is engine-specific (the timer wheel packs a pool slot and a
+/// generation counter), so ids must never be compared across queues.
 class EventId {
  public:
   constexpr EventId() noexcept : id_(0) {}
@@ -23,35 +23,27 @@ class EventId {
   constexpr bool operator==(const EventId&) const noexcept = default;
 
  private:
-  friend class Scheduler;
+  friend struct EventIdCodec;
   explicit constexpr EventId(std::uint64_t id) noexcept : id_(id) {}
   std::uint64_t id_;
 };
 
-/// Which scheduler engine backs an EventQueue / Simulator.
-enum class EngineKind {
-  kHeap,   // binary heap + lazy cancellation (the original engine)
-  kWheel,  // hierarchical timer wheel + far-future overflow heap
+/// The one seam through which an engine mints and decodes raw ids: the
+/// production WheelScheduler and the reference heap engine the tests
+/// compare it against. Everyone else treats EventId as opaque.
+struct EventIdCodec {
+  [[nodiscard]] static constexpr EventId mint(std::uint64_t raw) noexcept {
+    return EventId(raw);
+  }
+  [[nodiscard]] static constexpr std::uint64_t decode(EventId id) noexcept {
+    return id.id_;
+  }
 };
-
-/// Stable engine name ("heap" / "wheel") for reports and bench labels.
-[[nodiscard]] const char* engine_kind_name(EngineKind kind) noexcept;
-
-/// The engine a default-constructed EventQueue/Simulator uses. Resolved
-/// as: thread override (set_thread_default_engine) > the SLOWCC_ENGINE
-/// environment variable ("heap" / "wheel", read once) > kWheel.
-[[nodiscard]] EngineKind default_engine() noexcept;
-
-/// Override the default engine for the calling thread only (sweep
-/// workers stay independent). Pair with clear_thread_default_engine();
-/// tests use this to drive whole scenarios through a chosen engine.
-void set_thread_default_engine(EngineKind kind) noexcept;
-void clear_thread_default_engine() noexcept;
 
 /// Timestamp + FIFO sequence number of a popped event. `seq` is
 /// assigned at schedule() time (1, 2, 3, ... per queue) and breaks ties
 /// among equal timestamps, so the executed (at, seq) stream is the
-/// engine-independent observable the golden-trace digests pin.
+/// observable the golden-trace digests pin.
 struct PoppedEvent {
   Time at;
   std::uint64_t seq = 0;
@@ -63,79 +55,6 @@ struct SchedulerStats {
   std::size_t tombstones = 0;  // cancelled entries not yet reclaimed
   std::size_t capacity = 0;    // backing allocation, in entries
 };
-
-/// Engine interface behind EventQueue. Contract shared by every
-/// implementation (and enforced by tests/engine_diff.hpp):
-///   - events fire in (at, seq) order; seq is FIFO at equal times
-///   - cancel is a no-op for fired, cancelled, or stale ids
-///   - next_time()/pop() throw SimError(kBadSchedule) when no live
-///     event remains (an all-cancelled queue is "empty" too)
-class Scheduler {
- public:
-  // The public callback type IS the API boundary the hot-path rule
-  // carves out; engines pool the POD *entries* around it.
-  // slowcc-lint: allow(no-std-function-hot-path) API-boundary callback type
-  using Callback = std::function<void()>;
-
-  Scheduler() = default;
-  Scheduler(const Scheduler&) = delete;
-  Scheduler& operator=(const Scheduler&) = delete;
-  virtual ~Scheduler() = default;
-
-  virtual EventId schedule(Time at, Callback cb) = 0;
-
-  /// Returns true when a pending event was actually cancelled.
-  virtual bool cancel(EventId id) = 0;
-
-  /// Timestamp of the earliest live event; throws SimError(kBadSchedule)
-  /// when none remains. Non-const: engines may advance internal cursors.
-  [[nodiscard]] virtual Time next_time() = 0;
-
-  /// Pop the earliest live event; throws SimError(kBadSchedule) when
-  /// none remains. `out` (optional) receives its (at, seq).
-  [[nodiscard]] virtual Callback pop(PoppedEvent* out) = 0;
-
-  /// (at, seq) of the earliest live event without popping it; throws
-  /// SimError(kBadSchedule) when none remains. The run loop uses this to
-  /// merge chained drain sub-events (see sim/simulator.hpp) into the
-  /// engine's (at, seq) total order.
-  [[nodiscard]] virtual PoppedEvent peek() = 0;
-
-  /// Consume the next FIFO sequence number WITHOUT storing an event.
-  /// Chain sources (net::Link batched drains) mint seqs at exactly the
-  /// points the unbatched path would have called schedule(), so the
-  /// executed (at, seq) stream — and every golden trace digest — is
-  /// bit-identical whether a departure runs as an engine event or as a
-  /// chained sub-event.
-  [[nodiscard]] virtual std::uint64_t mint_seq() noexcept = 0;
-
-  /// Number of live (non-cancelled) events.
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  /// Timestamps of the earliest live events, ascending, at most
-  /// `max_entries`. Diagnostic path, not a hot one.
-  [[nodiscard]] virtual std::vector<Time> pending_times(
-      std::size_t max_entries) const = 0;
-
-  [[nodiscard]] virtual SchedulerStats stats() const noexcept = 0;
-
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
- protected:
-  // EventId's raw value is private; engines mint and decode ids through
-  // these so the handle type stays opaque to everyone else.
-  [[nodiscard]] static constexpr EventId make_event_id(
-      std::uint64_t raw) noexcept {
-    return EventId(raw);
-  }
-  [[nodiscard]] static constexpr std::uint64_t raw_event_id(
-      EventId id) noexcept {
-    return id.id_;
-  }
-};
-
-/// Construct an engine. Throws SimError(kBadConfig) on an unknown kind.
-[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(EngineKind kind);
 
 /// FNV-1a (64-bit) folding of one value into a running hash, byte-wise
 /// little-endian. Used by Simulator::trace_digest() and the golden-trace

@@ -16,7 +16,7 @@ thread_local std::uint64_t t_events_executed = 0;
 
 }  // namespace
 
-Simulator::Simulator(EngineKind engine) : queue_(engine) {
+Simulator::Simulator() {
   if (t_construct_observer) {
     // Swap the slot out while the observer runs so an observer that
     // constructs helper Simulators cannot recurse into itself.
@@ -45,7 +45,7 @@ void Simulator::set_thread_construct_observer(ConstructObserver observer) {
   t_construct_observer = std::move(observer);
 }
 
-EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
+EventId Simulator::schedule_at(Time at, EventCallback cb) {
   if (at < now_) {
     throw SimError(SimErrc::kBadSchedule, "Simulator",
                    "schedule_at: time in the past (" + at.to_string() + " < " +
@@ -54,7 +54,7 @@ EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
-EventId Simulator::schedule_in(Time delay, EventQueue::Callback cb) {
+EventId Simulator::schedule_in(Time delay, EventCallback cb) {
   if (delay.is_negative()) {
     throw SimError(SimErrc::kBadSchedule, "Simulator",
                    "schedule_in: negative delay");
@@ -63,7 +63,7 @@ EventId Simulator::schedule_in(Time delay, EventQueue::Callback cb) {
 }
 
 void Simulator::set_event_hook(std::uint64_t every_events,
-                               EventQueue::Callback hook) {
+                               EventCallback hook) {
   if (every_events == 0 || hook == nullptr) {
     throw SimError(SimErrc::kBadConfig, "Simulator",
                    "set_event_hook: need every_events >= 1 and a callable");
@@ -172,7 +172,7 @@ void Simulator::run_until(Time deadline) {
       chain->fire(chain->ctx);
     } else {
       PoppedEvent ev;
-      auto cb = queue_.pop_event(&ev);
+      auto cb = queue_.pop(&ev);
       now_ = ev.at;
       ++events_executed_;
       ++t_events_executed;
@@ -184,8 +184,8 @@ void Simulator::run_until(Time deadline) {
     }
     // Poll after the callback so events and packets it just created are
     // charged to it. pending_events() counts live engine events plus
-    // armed chains — logical state, identical across engines and across
-    // the batched/scalar packet paths.
+    // armed chains — logical state, identical across the batched/scalar
+    // packet paths.
     if (governor_.armed()) governor_.poll(pending_events());
     if (hook_every_ != 0 && events_executed_ % hook_every_ == 0) hook_();
   }

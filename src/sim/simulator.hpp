@@ -58,11 +58,7 @@ class Simulator {
   /// thread it was registered on (see `set_thread_construct_observer`).
   using ConstructObserver = std::function<void(Simulator&)>;
 
-  /// Default-constructed simulators use `default_engine()` (thread
-  /// override > SLOWCC_ENGINE env > timer wheel); pass a kind to pin
-  /// one explicitly.
-  Simulator() : Simulator(default_engine()) {}
-  explicit Simulator(EngineKind engine);
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -70,10 +66,10 @@ class Simulator {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedule `cb` to run at absolute time `at` (must be >= now()).
-  EventId schedule_at(Time at, EventQueue::Callback cb);
+  EventId schedule_at(Time at, EventCallback cb);
 
   /// Schedule `cb` to run `delay` from now.
-  EventId schedule_in(Time delay, EventQueue::Callback cb);
+  EventId schedule_in(Time delay, EventCallback cb);
 
   /// Cancel a pending event; no-op if already fired or cancelled.
   void cancel(EventId id) { queue_.cancel(id); }
@@ -108,19 +104,11 @@ class Simulator {
   }
 
   /// FNV-1a digest over the (fire-time, seq) pairs of every event
-  /// executed so far. Engine-independent by contract — the golden-trace
-  /// tests pin scenario digests and the differential harness checks
-  /// heap and wheel produce identical values.
+  /// executed so far. The golden-trace tests pin scenario digests, and
+  /// the differential harness checks a reference heap engine driven by
+  /// the same workload produces the same value.
   [[nodiscard]] std::uint64_t trace_digest() const noexcept {
     return trace_digest_;
-  }
-
-  /// Which scheduler engine backs this simulation.
-  [[nodiscard]] EngineKind engine_kind() const noexcept {
-    return queue_.engine_kind();
-  }
-  [[nodiscard]] const char* engine_name() const noexcept {
-    return queue_.engine_name();
   }
 
   /// Events executed by every Simulator on the calling thread since

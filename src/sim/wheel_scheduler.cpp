@@ -290,12 +290,12 @@ EventId WheelScheduler::schedule(Time at, Callback cb) {
   place(idx);
   ++live_;
   ++stored_;
-  return make_event_id((std::uint64_t{pool_[idx].gen} << 24) |
-                       (std::uint64_t{idx} + 1));
+  return EventIdCodec::mint((std::uint64_t{pool_[idx].gen} << 24) |
+                            (std::uint64_t{idx} + 1));
 }
 
 bool WheelScheduler::cancel(EventId id) {
-  const std::uint64_t raw = raw_event_id(id);
+  const std::uint64_t raw = EventIdCodec::decode(id);
   if (raw == 0) return false;
   const std::uint32_t idx = static_cast<std::uint32_t>(raw & 0xffffffu) - 1;
   const auto gen = static_cast<std::uint32_t>(raw >> 24);
@@ -332,7 +332,7 @@ PoppedEvent WheelScheduler::peek() {
   return PoppedEvent{Time::nanos(due_.front().at_ns), due_.front().seq};
 }
 
-Scheduler::Callback WheelScheduler::pop(PoppedEvent* out) {
+WheelScheduler::Callback WheelScheduler::pop(PoppedEvent* out) {
   settle();
   if (due_.empty()) throw_empty("pop");
   std::pop_heap(due_.begin(), due_.end(), HeapLater{});

@@ -36,25 +36,59 @@ namespace slowcc::sim {
 /// pop path discards them ("slot tombstones" replacing the old engine's
 /// cancelled-id hash set). EventIds pack (generation << 24 | slot + 1),
 /// so stale ids from reused nodes are rejected by generation mismatch.
-class WheelScheduler final : public Scheduler {
+///
+/// Contract (held against a reference binary heap by the differential
+/// tests in tests/engine_diff.hpp):
+///   - events fire in (at, seq) order; seq is FIFO at equal times
+///   - cancel is a no-op for fired, cancelled, or stale ids
+///   - next_time()/peek()/pop() throw SimError(kBadSchedule) when no
+///     live event remains (an all-cancelled queue is "empty" too)
+class WheelScheduler {
  public:
-  WheelScheduler();
+  using Callback = EventCallback;
 
-  EventId schedule(Time at, Callback cb) override;
-  bool cancel(EventId id) override;
-  [[nodiscard]] Time next_time() override;
-  [[nodiscard]] Callback pop(PoppedEvent* out) override;
-  [[nodiscard]] PoppedEvent peek() override;
-  // Minted seqs never materialize a node, so no EventId can refer to
-  // them; the generation check already rejects any stale handle.
-  [[nodiscard]] std::uint64_t mint_seq() noexcept override {
-    return next_seq_++;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override { return live_; }
-  [[nodiscard]] std::vector<Time> pending_times(
-      std::size_t max_entries) const override;
-  [[nodiscard]] SchedulerStats stats() const noexcept override;
-  [[nodiscard]] const char* name() const noexcept override { return "wheel"; }
+  WheelScheduler();
+  WheelScheduler(const WheelScheduler&) = delete;
+  WheelScheduler& operator=(const WheelScheduler&) = delete;
+
+  /// Schedule `cb` at absolute time `at`; the id cancels it.
+  EventId schedule(Time at, Callback cb);
+
+  /// Returns true when a pending event was actually cancelled.
+  bool cancel(EventId id);
+
+  /// Timestamp of the earliest live event. Non-const: the cursor may
+  /// advance (the result is still observably pure).
+  [[nodiscard]] Time next_time();
+
+  /// Pop the earliest live event; `out` (optional) receives its
+  /// (at, seq), which Simulator folds into its trace digest.
+  [[nodiscard]] Callback pop(PoppedEvent* out);
+
+  /// (at, seq) of the earliest live event without popping it. The run
+  /// loop uses this to merge chained drain sub-events (see
+  /// sim/simulator.hpp) into the (at, seq) total order.
+  [[nodiscard]] PoppedEvent peek();
+
+  /// Consume the next FIFO sequence number WITHOUT storing an event.
+  /// Chain sources (net::Link batched drains) mint seqs at exactly the
+  /// points the unbatched path would have called schedule(), so the
+  /// executed (at, seq) stream — and every golden trace digest — is
+  /// bit-identical whether a departure runs as an engine event or as a
+  /// chained sub-event. Minted seqs never materialize a node, so no
+  /// EventId can refer to them.
+  [[nodiscard]] std::uint64_t mint_seq() noexcept { return next_seq_++; }
+
+  /// Number of live (non-cancelled) events.
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+
+  /// Timestamps of the earliest live events, ascending, at most
+  /// `max_entries`. O(n log n); meant for diagnostic dumps (Watchdog),
+  /// not hot paths.
+  [[nodiscard]] std::vector<Time> pending_times(std::size_t max_entries) const;
+
+  [[nodiscard]] SchedulerStats stats() const noexcept;
 
  private:
   static constexpr int kSlotBits = 8;

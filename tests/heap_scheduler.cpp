@@ -1,10 +1,10 @@
-#include "sim/heap_scheduler.hpp"
+#include "heap_scheduler.hpp"
 
 #include <algorithm>
 
 #include "sim/error.hpp"
 
-namespace slowcc::sim {
+namespace slowcc::test {
 
 namespace {
 // Compaction threshold: never bother below this many tombstones, so
@@ -16,19 +16,19 @@ EventId HeapScheduler::schedule(Time at, Callback cb) {
   const std::uint64_t seq = next_seq_++;
   // Growth below is amortized against the kInitialCapacity reservation
   // made at construction; steady-state schedule/pop recycles capacity.
-  heap_.push_back(Entry{at, seq, std::move(cb)});  // slowcc-lint: allow(no-hot-path-alloc) amortized past the construction-time reserve
+  heap_.push_back(Entry{at, seq, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  pending_.insert(seq);  // slowcc-lint: allow(no-hot-path-alloc) hash set reserved at construction; rehash is amortized
+  pending_.insert(seq);
   ++live_;
-  return make_event_id(seq);
+  return sim::EventIdCodec::mint(seq);
 }
 
 bool HeapScheduler::cancel(EventId id) {
   if (!id.valid()) return false;
   // Cancelling an event that already fired (or was already cancelled)
   // is a no-op; only pending events affect the bookkeeping.
-  if (pending_.erase(raw_event_id(id)) == 0) return false;
-  cancelled_.insert(raw_event_id(id));  // slowcc-lint: allow(no-hot-path-alloc) tombstone set is swept by compact(); growth amortized
+  if (pending_.erase(sim::EventIdCodec::decode(id)) == 0) return false;
+  cancelled_.insert(sim::EventIdCodec::decode(id));
   --live_;
   // Tombstones outnumbering live entries means a cancel-heavy workload
   // (retransmit timers rearmed every packet); sweep them in one pass so
@@ -61,10 +61,10 @@ void HeapScheduler::purge_cancelled() {
 }
 
 void HeapScheduler::throw_empty(const char* op) const {
-  throw SimError(SimErrc::kBadSchedule, "EventQueue",
-                 std::string(op) +
-                     " on a queue with no live events (empty or "
-                     "all-cancelled)");
+  throw sim::SimError(sim::SimErrc::kBadSchedule, "EventQueue",
+                      std::string(op) +
+                          " on a queue with no live events (empty or "
+                          "all-cancelled)");
 }
 
 std::vector<Time> HeapScheduler::pending_times(std::size_t max_entries) const {
@@ -94,7 +94,7 @@ PoppedEvent HeapScheduler::peek() {
   return PoppedEvent{heap_.front().at, heap_.front().seq};
 }
 
-Scheduler::Callback HeapScheduler::pop(PoppedEvent* out) {
+HeapScheduler::Callback HeapScheduler::pop(PoppedEvent* out) {
   purge_cancelled();
   if (heap_.empty()) throw_empty("pop");
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -106,4 +106,4 @@ Scheduler::Callback HeapScheduler::pop(PoppedEvent* out) {
   return std::move(e.cb);
 }
 
-}  // namespace slowcc::sim
+}  // namespace slowcc::test

@@ -12,7 +12,7 @@ namespace slowcc::test {
 namespace {
 
 // Property test: randomized 10k-op schedule/cancel/pop/peek scripts,
-// heap and wheel must agree on every observable. On failure the report
+// the wheel and the reference heap must agree on every observable. On failure the report
 // embeds the delta-debugged minimal script, so the assertion message is
 // directly actionable.
 TEST(EngineDiff, RandomizedScriptsAgree) {
@@ -110,19 +110,57 @@ TEST(EngineDiff, EqualStartCascadeBeatsDrainAgrees) {
 
 TEST(EngineDiff, RunScriptIsDeterministicPerEngine) {
   const DiffScript script = random_script(0xd5e7e2ULL, 2000);
-  EXPECT_EQ(run_script(sim::EngineKind::kWheel, script),
-            run_script(sim::EngineKind::kWheel, script));
-  EXPECT_EQ(run_script(sim::EngineKind::kHeap, script),
-            run_script(sim::EngineKind::kHeap, script));
+  EXPECT_EQ(run_script<sim::WheelScheduler>(script),
+            run_script<sim::WheelScheduler>(script));
+  EXPECT_EQ(run_script<HeapScheduler>(script),
+            run_script<HeapScheduler>(script));
 }
+
+// The run loop of sim::Simulator reduced to what a workload without
+// drain chains, budgets, or hooks observes, over the reference heap:
+// pop in (at, seq) order, advance the clock, fold (at, seq) into the
+// same FNV-1a trace digest.
+class HeapSim {
+ public:
+  sim::EventId schedule_in(sim::Time delay, sim::EventCallback cb) {
+    return queue_.schedule(now_ + delay, std::move(cb));
+  }
+
+  void run() {
+    while (!queue_.empty()) {
+      sim::PoppedEvent ev;
+      auto cb = queue_.pop(&ev);
+      now_ = ev.at;
+      ++events_executed_;
+      trace_digest_ = sim::fnv1a_u64(
+          sim::fnv1a_u64(trace_digest_,
+                         static_cast<std::uint64_t>(ev.at.as_nanos())),
+          ev.seq);
+      cb();
+    }
+  }
+
+  [[nodiscard]] sim::Time now() const { return now_; }
+  [[nodiscard]] std::uint64_t events_executed() const {
+    return events_executed_;
+  }
+  [[nodiscard]] std::uint64_t trace_digest() const { return trace_digest_; }
+
+ private:
+  HeapScheduler queue_;
+  sim::Time now_;
+  std::uint64_t events_executed_ = 0;
+  std::uint64_t trace_digest_ = sim::kFnvOffsetBasis;
+};
 
 // Simulator-level differential: a self-rescheduling workload where
 // every callback draws from a shared Rng, so any divergence in
 // execution order immediately snowballs into different digests.
+template <class Sim>
 class RespawnWorkload {
  public:
-  RespawnWorkload(sim::EngineKind kind, std::uint64_t seed, int budget)
-      : sim_(kind), rng_(seed), budget_(budget) {}
+  RespawnWorkload(std::uint64_t seed, int budget)
+      : rng_(seed), budget_(budget) {}
 
   void spawn() {
     if (budget_ <= 0) return;
@@ -135,54 +173,30 @@ class RespawnWorkload {
     });
   }
 
-  sim::Simulator& sim() { return sim_; }
+  Sim& sim() { return sim_; }
 
  private:
-  sim::Simulator sim_;
+  Sim sim_;
   sim::Rng rng_;
   int budget_;
 };
 
+template <class Sim>
+std::tuple<std::uint64_t, std::uint64_t, sim::Time> run_respawn() {
+  RespawnWorkload<Sim> w(0xd16e57ULL, 30000);
+  for (int i = 0; i < 100; ++i) w.spawn();
+  w.sim().run();
+  return std::tuple{w.sim().trace_digest(), w.sim().events_executed(),
+                    w.sim().now()};
+}
+
 TEST(EngineDiff, SimulatorTraceDigestsMatch) {
-  const auto run = [](sim::EngineKind kind) {
-    RespawnWorkload w(kind, 0xd16e57ULL, 30000);
-    for (int i = 0; i < 100; ++i) w.spawn();
-    w.sim().run();
-    return std::tuple{w.sim().trace_digest(), w.sim().events_executed(),
-                      w.sim().now()};
-  };
-  const auto heap = run(sim::EngineKind::kHeap);
-  const auto wheel = run(sim::EngineKind::kWheel);
+  const auto heap = run_respawn<HeapSim>();
+  const auto wheel = run_respawn<sim::Simulator>();
   EXPECT_EQ(std::get<0>(heap), std::get<0>(wheel));
   EXPECT_EQ(std::get<1>(heap), std::get<1>(wheel));
   EXPECT_EQ(std::get<2>(heap), std::get<2>(wheel));
   EXPECT_GT(std::get<1>(heap), 10000u);  // workload actually ran
-}
-
-TEST(EngineDiff, EngineSelectionKnobs) {
-  sim::Simulator heap_sim{sim::EngineKind::kHeap};
-  sim::Simulator wheel_sim{sim::EngineKind::kWheel};
-  EXPECT_STREQ(heap_sim.engine_name(), "heap");
-  EXPECT_STREQ(wheel_sim.engine_name(), "wheel");
-  EXPECT_EQ(heap_sim.engine_kind(), sim::EngineKind::kHeap);
-  EXPECT_EQ(wheel_sim.engine_kind(), sim::EngineKind::kWheel);
-
-  sim::set_thread_default_engine(sim::EngineKind::kHeap);
-  {
-    sim::Simulator s;
-    EXPECT_EQ(s.engine_kind(), sim::EngineKind::kHeap);
-  }
-  sim::set_thread_default_engine(sim::EngineKind::kWheel);
-  {
-    sim::Simulator s;
-    EXPECT_EQ(s.engine_kind(), sim::EngineKind::kWheel);
-  }
-  sim::clear_thread_default_engine();
-}
-
-TEST(EngineDiff, EngineKindNames) {
-  EXPECT_STREQ(sim::engine_kind_name(sim::EngineKind::kHeap), "heap");
-  EXPECT_STREQ(sim::engine_kind_name(sim::EngineKind::kWheel), "wheel");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "heap_scheduler.hpp"
 #include "sim/error.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -9,185 +10,231 @@
 namespace slowcc::sim {
 namespace {
 
-// Every behavioural test runs against both engines; the fixture name in
-// the test listing carries the engine ("AllEngines/EventQueueTest.X/heap").
-class EventQueueTest : public ::testing::TestWithParam<EngineKind> {
+// Every behavioural test runs against the production queue (the timer
+// wheel) and the reference heap engine the differential tests compare
+// it with; the fixture name in the test listing carries the engine
+// ("AllEngines/EventQueueTest.X/heap").
+enum class Engine { kHeap, kWheel };
+
+class EventQueueTest : public ::testing::TestWithParam<Engine> {
  protected:
-  EventQueue q{GetParam()};
+  /// Run `body` (a generic lambda taking the queue) on this leg's engine.
+  template <class Body>
+  void on_engine(Body body) {
+    if (GetParam() == Engine::kHeap) {
+      test::HeapScheduler q;
+      body(q);
+    } else {
+      EventQueue q;
+      body(q);
+    }
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, EventQueueTest,
-    ::testing::Values(EngineKind::kHeap, EngineKind::kWheel),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return engine_kind_name(info.param);
+    ::testing::Values(Engine::kHeap, Engine::kWheel),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return info.param == Engine::kHeap ? "heap" : "wheel";
     });
 
 TEST_P(EventQueueTest, PopsInTimeOrder) {
-  std::vector<int> fired;
-  q.schedule(Time::millis(30), [&] { fired.push_back(3); });
-  q.schedule(Time::millis(10), [&] { fired.push_back(1); });
-  q.schedule(Time::millis(20), [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop(nullptr)();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  on_engine([](auto& q) {
+    std::vector<int> fired;
+    q.schedule(Time::millis(30), [&] { fired.push_back(3); });
+    q.schedule(Time::millis(10), [&] { fired.push_back(1); });
+    q.schedule(Time::millis(20), [&] { fired.push_back(2); });
+    while (!q.empty()) q.pop(nullptr)();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  });
 }
 
 TEST_P(EventQueueTest, EqualTimesFireInInsertionOrder) {
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(Time::millis(5), [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) q.pop(nullptr)();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
+  on_engine([](auto& q) {
+    std::vector<int> fired;
+    for (int i = 0; i < 10; ++i) {
+      q.schedule(Time::millis(5), [&fired, i] { fired.push_back(i); });
+    }
+    while (!q.empty()) q.pop(nullptr)();
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
+  });
 }
 
 TEST_P(EventQueueTest, ReportsFireTime) {
-  q.schedule(Time::millis(42), [] {});
-  Time t;
-  (void)q.pop(&t);
-  EXPECT_EQ(t, Time::millis(42));
+  on_engine([](auto& q) {
+    q.schedule(Time::millis(42), [] {});
+    PoppedEvent ev;
+    (void)q.pop(&ev);
+    EXPECT_EQ(ev.at, Time::millis(42));
+  });
 }
 
 TEST_P(EventQueueTest, PopEventReportsFifoSeq) {
-  q.schedule(Time::millis(7), [] {});
-  q.schedule(Time::millis(7), [] {});
-  PoppedEvent ev;
-  (void)q.pop_event(&ev);
-  EXPECT_EQ(ev.at, Time::millis(7));
-  EXPECT_EQ(ev.seq, 1u);
-  (void)q.pop_event(&ev);
-  EXPECT_EQ(ev.seq, 2u);
+  on_engine([](auto& q) {
+    q.schedule(Time::millis(7), [] {});
+    q.schedule(Time::millis(7), [] {});
+    PoppedEvent ev;
+    (void)q.pop(&ev);
+    EXPECT_EQ(ev.at, Time::millis(7));
+    EXPECT_EQ(ev.seq, 1u);
+    (void)q.pop(&ev);
+    EXPECT_EQ(ev.seq, 2u);
+  });
 }
 
 TEST_P(EventQueueTest, CancelPreventsExecution) {
-  bool ran = false;
-  EventId id = q.schedule(Time::millis(1), [&] { ran = true; });
-  q.schedule(Time::millis(2), [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop(nullptr)();
-  EXPECT_FALSE(ran);
+  on_engine([](auto& q) {
+    bool ran = false;
+    EventId id = q.schedule(Time::millis(1), [&] { ran = true; });
+    q.schedule(Time::millis(2), [] {});
+    q.cancel(id);
+    EXPECT_EQ(q.size(), 1u);
+    while (!q.empty()) q.pop(nullptr)();
+    EXPECT_FALSE(ran);
+  });
 }
 
 TEST_P(EventQueueTest, CancelAfterFireIsNoOp) {
-  EventId id = q.schedule(Time::millis(1), [] {});
-  (void)q.pop(nullptr);
-  q.cancel(id);  // must not corrupt bookkeeping
-  EXPECT_TRUE(q.empty());
-  q.schedule(Time::millis(2), [] {});
-  EXPECT_EQ(q.size(), 1u);
+  on_engine([](auto& q) {
+    EventId id = q.schedule(Time::millis(1), [] {});
+    (void)q.pop(nullptr);
+    q.cancel(id);  // must not corrupt bookkeeping
+    EXPECT_TRUE(q.empty());
+    q.schedule(Time::millis(2), [] {});
+    EXPECT_EQ(q.size(), 1u);
+  });
 }
 
 TEST_P(EventQueueTest, DoubleCancelIsNoOp) {
-  EventId id = q.schedule(Time::millis(1), [] {});
-  q.schedule(Time::millis(2), [] {});
-  q.cancel(id);
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
+  on_engine([](auto& q) {
+    EventId id = q.schedule(Time::millis(1), [] {});
+    q.schedule(Time::millis(2), [] {});
+    q.cancel(id);
+    q.cancel(id);
+    EXPECT_EQ(q.size(), 1u);
+  });
 }
 
 TEST_P(EventQueueTest, DefaultEventIdIsInvalid) {
-  EventId id;
-  EXPECT_FALSE(id.valid());
-  q.cancel(id);  // harmless
-  EXPECT_TRUE(q.empty());
+  on_engine([](auto& q) {
+    EventId id;
+    EXPECT_FALSE(id.valid());
+    q.cancel(id);  // harmless
+    EXPECT_TRUE(q.empty());
+  });
 }
 
 TEST_P(EventQueueTest, NextTimeSkipsCancelledHead) {
-  EventId early = q.schedule(Time::millis(1), [] {});
-  q.schedule(Time::millis(5), [] {});
-  q.cancel(early);
-  EXPECT_EQ(q.next_time(), Time::millis(5));
+  on_engine([](auto& q) {
+    EventId early = q.schedule(Time::millis(1), [] {});
+    q.schedule(Time::millis(5), [] {});
+    q.cancel(early);
+    EXPECT_EQ(q.next_time(), Time::millis(5));
+  });
 }
 
 TEST_P(EventQueueTest, CancelOfFiredIdDoesNotAffectLaterEvents) {
-  // The already-fired id must not alias any live entry even after the
-  // queue is reused for new events.
-  EventId fired_id = q.schedule(Time::millis(1), [] {});
-  (void)q.pop(nullptr);
-  bool ran = false;
-  q.schedule(Time::millis(2), [&] { ran = true; });
-  q.cancel(fired_id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop(nullptr)();
-  EXPECT_TRUE(ran);
+  on_engine([](auto& q) {
+    // The already-fired id must not alias any live entry even after the
+    // queue is reused for new events.
+    EventId fired_id = q.schedule(Time::millis(1), [] {});
+    (void)q.pop(nullptr);
+    bool ran = false;
+    q.schedule(Time::millis(2), [&] { ran = true; });
+    q.cancel(fired_id);
+    EXPECT_EQ(q.size(), 1u);
+    while (!q.empty()) q.pop(nullptr)();
+    EXPECT_TRUE(ran);
+  });
 }
 
 TEST_P(EventQueueTest, PendingTimesSkipsCancelledAndSorts) {
-  q.schedule(Time::millis(30), [] {});
-  EventId mid = q.schedule(Time::millis(20), [] {});
-  q.schedule(Time::millis(10), [] {});
-  q.cancel(mid);
-  const auto times = q.pending_times(8);
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_EQ(times[0], Time::millis(10));
-  EXPECT_EQ(times[1], Time::millis(30));
+  on_engine([](auto& q) {
+    q.schedule(Time::millis(30), [] {});
+    EventId mid = q.schedule(Time::millis(20), [] {});
+    q.schedule(Time::millis(10), [] {});
+    q.cancel(mid);
+    const auto times = q.pending_times(8);
+    ASSERT_EQ(times.size(), 2u);
+    EXPECT_EQ(times[0], Time::millis(10));
+    EXPECT_EQ(times[1], Time::millis(30));
+  });
 }
 
 TEST_P(EventQueueTest, PendingTimesHonoursCap) {
-  for (int i = 0; i < 10; ++i) q.schedule(Time::millis(i), [] {});
-  const auto times = q.pending_times(3);
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_EQ(times[0], Time::millis(0));
-  EXPECT_EQ(times[2], Time::millis(2));
+  on_engine([](auto& q) {
+    for (int i = 0; i < 10; ++i) q.schedule(Time::millis(i), [] {});
+    const auto times = q.pending_times(3);
+    ASSERT_EQ(times.size(), 3u);
+    EXPECT_EQ(times[0], Time::millis(0));
+    EXPECT_EQ(times[2], Time::millis(2));
+  });
 }
 
 TEST_P(EventQueueTest, ManyInterleavedOperations) {
-  int fired = 0;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(q.schedule(Time::micros(i), [&] { ++fired; }));
-  }
-  for (int i = 0; i < 1000; i += 2) q.cancel(ids[static_cast<size_t>(i)]);
-  while (!q.empty()) q.pop(nullptr)();
-  EXPECT_EQ(fired, 500);
+  on_engine([](auto& q) {
+    int fired = 0;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 1000; ++i) {
+      ids.push_back(q.schedule(Time::micros(i), [&] { ++fired; }));
+    }
+    for (int i = 0; i < 1000; i += 2) q.cancel(ids[static_cast<size_t>(i)]);
+    while (!q.empty()) q.pop(nullptr)();
+    EXPECT_EQ(fired, 500);
+  });
 }
 
 // Regression: next_time() on an all-cancelled queue used to trip an
 // assert (and silently misbehave in release builds); it must raise the
 // same structured error as a genuinely empty queue.
 TEST_P(EventQueueTest, NextTimeOnAllCancelledThrowsSimError) {
-  std::vector<EventId> ids;
-  for (int i = 0; i < 3; ++i) {
-    ids.push_back(q.schedule(Time::millis(i + 1), [] {}));
-  }
-  for (EventId id : ids) q.cancel(id);
-  EXPECT_TRUE(q.empty());
-  try {
-    (void)q.next_time();
-    FAIL() << "next_time() on an all-cancelled queue did not throw";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.code(), SimErrc::kBadSchedule);
-    EXPECT_EQ(e.component(), "EventQueue");
-  }
+  on_engine([](auto& q) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 3; ++i) {
+      ids.push_back(q.schedule(Time::millis(i + 1), [] {}));
+    }
+    for (EventId id : ids) q.cancel(id);
+    EXPECT_TRUE(q.empty());
+    try {
+      (void)q.next_time();
+      FAIL() << "next_time() on an all-cancelled queue did not throw";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.code(), SimErrc::kBadSchedule);
+      EXPECT_EQ(e.component(), "EventQueue");
+    }
+  });
 }
 
 TEST_P(EventQueueTest, PopOnEmptyThrowsSimError) {
-  EXPECT_THROW((void)q.pop(nullptr), SimError);
-  q.schedule(Time::millis(1), [] {});
-  (void)q.pop(nullptr);
-  EXPECT_THROW((void)q.pop(nullptr), SimError);
+  on_engine([](auto& q) {
+    EXPECT_THROW((void)q.pop(nullptr), SimError);
+    q.schedule(Time::millis(1), [] {});
+    (void)q.pop(nullptr);
+    EXPECT_THROW((void)q.pop(nullptr), SimError);
+  });
 }
 
 // Regression: cancelling the last remaining event and then asking for
 // the next event must behave exactly like an empty queue — and the
 // queue must stay usable afterwards.
 TEST_P(EventQueueTest, CancelLastEventLeavesQueueUsable) {
-  EventId only = q.schedule(Time::millis(9), [] {});
-  q.cancel(only);
-  EXPECT_TRUE(q.empty());
-  EXPECT_THROW((void)q.next_time(), SimError);
-  bool ran = false;
-  q.schedule(Time::millis(10), [&] { ran = true; });
-  EXPECT_EQ(q.next_time(), Time::millis(10));
-  q.pop(nullptr)();
-  EXPECT_TRUE(ran);
+  on_engine([](auto& q) {
+    EventId only = q.schedule(Time::millis(9), [] {});
+    q.cancel(only);
+    EXPECT_TRUE(q.empty());
+    EXPECT_THROW((void)q.next_time(), SimError);
+    bool ran = false;
+    q.schedule(Time::millis(10), [&] { ran = true; });
+    EXPECT_EQ(q.next_time(), Time::millis(10));
+    q.pop(nullptr)();
+    EXPECT_TRUE(ran);
+  });
 }
 
 // Regression: a Simulator whose queue was entirely cancelled must
 // complete run() as a no-op instead of dying inside next_time().
-TEST_P(EventQueueTest, SimulatorRunAfterCancelAllCompletes) {
-  Simulator s{GetParam()};
+TEST(EventQueue, SimulatorRunAfterCancelAllCompletes) {
+  Simulator s;
   bool ran = false;
   EventId a = s.schedule_in(Time::millis(1), [&] { ran = true; });
   EventId b = s.schedule_in(Time::millis(2), [&] { ran = true; });
@@ -201,9 +248,10 @@ TEST_P(EventQueueTest, SimulatorRunAfterCancelAllCompletes) {
 // Regression for the heap engine's tombstone leak: ids cancelled but
 // never popped used to accumulate in the cancelled-id set forever.
 // Compaction must keep the tombstone count bounded by a small constant
-// once live entries are outnumbered.
+// once live entries are outnumbered — the reference engine stays
+// usable on the cancel-heavy differential scripts.
 TEST(EventQueueHeap, CompactionBoundsTombstones) {
-  EventQueue q{EngineKind::kHeap};
+  test::HeapScheduler q;
   std::vector<EventId> ids;
   for (int i = 0; i < 10000; ++i) {
     ids.push_back(q.schedule(Time::micros(i), [] {}));
@@ -218,7 +266,7 @@ TEST(EventQueueHeap, CompactionBoundsTombstones) {
 // The wheel reclaims nodes through its free list: a steady-state
 // schedule/fire cycle must not grow the pool.
 TEST(EventQueueWheel, PoolReusesNodes) {
-  EventQueue q{EngineKind::kWheel};
+  EventQueue q;
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 100; ++i) {
       q.schedule(Time::micros(round * 1000 + i), [] {});
@@ -232,7 +280,7 @@ TEST(EventQueueWheel, PoolReusesNodes) {
 // Cancelling a wheel-resident event reclaims its node immediately
 // (O(1) unlink), not lazily at pop time.
 TEST(EventQueueWheel, CancelReclaimsSlotResidentNodes) {
-  EventQueue q{EngineKind::kWheel};
+  EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 50; ++i) {
     ids.push_back(q.schedule(Time::millis(i + 1), [] {}));
@@ -241,15 +289,6 @@ TEST(EventQueueWheel, CancelReclaimsSlotResidentNodes) {
   const SchedulerStats stats = q.stats();
   EXPECT_EQ(stats.stored, 0u);
   EXPECT_EQ(stats.tombstones, 0u);
-}
-
-TEST(EventQueueFacade, ReportsEngineIdentity) {
-  EventQueue heap_q{EngineKind::kHeap};
-  EventQueue wheel_q{EngineKind::kWheel};
-  EXPECT_EQ(heap_q.engine_kind(), EngineKind::kHeap);
-  EXPECT_EQ(wheel_q.engine_kind(), EngineKind::kWheel);
-  EXPECT_STREQ(heap_q.engine_name(), "heap");
-  EXPECT_STREQ(wheel_q.engine_name(), "wheel");
 }
 
 }  // namespace

@@ -342,9 +342,9 @@ TEST(ResourceBudget, PolicyValidationRejectsBadGovernanceKnobs) {
 }
 
 TEST(ResultSink, AtomicStagingNamesSeparateProcessesAndCalls) {
-  // Regression for the cross-process staging collision: two fleet
-  // workers finalizing the same file must never share a staging name,
-  // and neither must two writes from one process.
+  // Regression for the cross-process staging collision: two processes
+  // finalizing the same file must never share a staging name, and
+  // neither must two writes from one process.
   EXPECT_EQ(atomic_staging_name("dir/trials.jsonl", 42, 7),
             "dir/trials.jsonl.tmp.42.7");
   EXPECT_NE(atomic_staging_name("f", 100, 0), atomic_staging_name("f", 101, 0));
@@ -367,19 +367,6 @@ TEST(ResultSink, AtomicWriteLeavesNoTempFile) {
     EXPECT_EQ(e.path().filename().string(), "out.jsonl");
   }
   EXPECT_EQ(entries, 1u);
-}
-
-TEST(ResultSink, ExclusiveWriteClaimsExactlyOnce) {
-  TempDir dir;
-  const std::string path = dir.path() + "/trial-7.lease";
-  std::string err;
-  EXPECT_EQ(write_file_exclusive(path, "a\n", &err), ExclusiveWrite::kCreated)
-      << err;
-  EXPECT_EQ(write_file_exclusive(path, "b\n", &err), ExclusiveWrite::kExists);
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "a\n");  // the loser did not clobber the winner
 }
 
 TEST(ResultSink, LoaderReportsTornTrailingLine) {
@@ -500,6 +487,39 @@ TEST(Checkpoint, PartialTornJournalRecoversCompletedTrials) {
     EXPECT_TRUE(d.trial_id % 2 == 1 ||
                 d.cell_key().find("boom=1") != std::string::npos);
   }
+}
+
+TEST(Checkpoint, LastJournalLinePerTrialWins) {
+  // A resumed run appends re-run rows after the stale ones, so the plan
+  // must honour the last line per trial id: failed-then-ok recovers the
+  // trial, ok-then-failed re-runs it.
+  const SweepSpec spec = poison_spec();
+  const auto trials = spec.expand();
+  ParallelRunner runner(1);
+  const std::vector<Row> rows = runner.run(trials);
+  ASSERT_TRUE(rows[0].outcome.ok);
+  ASSERT_TRUE(rows[1].outcome.ok);
+  const auto failed_copy = [](Row r) {
+    r.error = "synthetic failure";
+    r.outcome.ok = false;
+    r.outcome.error_kind = "trial-aborted";
+    return r;
+  };
+
+  TempDir dir;
+  Checkpoint ck(dir.path());
+  EXPECT_FALSE(ck.open(spec, "p\n"));
+  ck.record(failed_copy(rows[0]));
+  ck.record(rows[0]);
+  ck.record(rows[1]);
+  ck.record(failed_copy(rows[1]));
+  const Checkpoint::Plan plan = ck.plan(trials);
+  EXPECT_EQ(plan.journal_lines, 4u);
+  ASSERT_EQ(plan.recovered.size(), 1u);  // the duplicate collapses
+  EXPECT_EQ(plan.recovered[0].trial_id, rows[0].trial_id);
+  EXPECT_EQ(plan.recovered[0].to_json(), rows[0].to_json());
+  ASSERT_EQ(plan.pending.size(), trials.size() - 1);
+  EXPECT_EQ(plan.pending[0].trial_id, rows[1].trial_id);
 }
 
 TEST(Checkpoint, ResumeUnderDifferentSpecIsRefused) {

@@ -62,6 +62,8 @@ TEST(ExpSweepSpec, RejectsMalformedInput) {
   EXPECT_THROW(exp::SweepSpec::parse_text("trials\n"), sim::SimError);
   EXPECT_THROW((void)exp::parse_double_list("1,x,3"), sim::SimError);
   exp::SweepSpec spec;
+  EXPECT_THROW((void)spec.expand(), sim::SimError);  // no experiment named
+  spec.experiment = "static_compat";
   spec.trials = 0;
   EXPECT_THROW((void)spec.expand(), sim::SimError);
   spec.trials = 1;

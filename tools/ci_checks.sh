@@ -6,19 +6,20 @@
 #   2. full build
 #   3. slowcc_lint over the tree (the `lint` target)
 #   4. clang-tidy (`tidy` target; no-op when clang-tidy is absent)
-#   5. ctest tier-1 suite (includes fleet_chaos_smoke: multi-process
-#      --fleet workers SIGKILLed/SIGSTOPped/SIGTERMed mid-grid must
-#      converge to the --jobs 1 golden output byte-for-byte; and
-#      spec_smoke: the specs/ library vs its committed golden digests
-#      plus spec-driven sweep determinism; and overload_smoke: a
-#      memory-bomb trial under --trial-max-bytes must quarantine as
+#   5. ctest tier-1 suite (includes sweep_chaos_smoke: a SIGKILLed
+#      --jobs 4 sweep, resumed, must match the uninterrupted --jobs 1
+#      output byte-for-byte; spec_smoke: the specs/ library vs its
+#      committed golden digests plus spec-driven sweep determinism
+#      across --jobs 1/--jobs 4; and overload_smoke: a memory-bomb
+#      trial under --trial-max-bytes must quarantine as
 #      resource-exhausted with peak-usage fields while the canonical
-#      outputs stay byte-identical across --jobs 1/--jobs 4/--fleet)
+#      outputs stay byte-identical across --jobs 1/--jobs 4)
 #   6. spec library golden gate: every specs/*.toml compiled and run
-#      under both event engines, digests byte-compared against
-#      specs/golden/ (regen with SLOWCC_REGEN_GOLDEN=1)
-#   7. engine perf report: bench_report runs the per-engine event-queue
-#      micro-benchmarks plus the BM_SaturatedDumbbell packet hot-path
+#      on the event engine, digests byte-compared against specs/golden/
+#      (regen with SLOWCC_REGEN_GOLDEN=1)
+#   7. engine perf report: bench_report runs the event-queue
+#      micro-benchmarks (the timer wheel against the reference heap
+#      from tests/) plus the BM_SaturatedDumbbell packet hot-path
 #      macro-bench and writes BENCH_engine.json into the build dir.
 #      The wheel >= 1.5x heap and pooled >= 2x scalar floors are
 #      advisory by default (warn only): wall-clock ratios between two

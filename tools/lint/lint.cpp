@@ -163,15 +163,15 @@ const std::vector<RuleInfo>& all_rules() {
        "stay out of include cycles"},
       {"no-std-function-hot-path",
        "std::function in src/sim/ and src/net/ engine code; pool POD "
-       "entries and keep type erasure at the Scheduler::Callback "
+       "entries and keep type erasure at the sim::EventCallback "
        "boundary"},
       {"no-hot-path-alloc",
        "heap allocation or container growth in code reachable from "
        "Queue::enqueue / deliver / scheduler pop (call-table walk); "
        "pre-size or pool on the per-packet path"},
       {"no-unguarded-shared-write",
-       "raw ofstream/fopen/::open writes in src/exp/ shared checkpoint "
-       "dirs; use write_file_atomic / write_file_exclusive / JsonlAppender"},
+       "raw ofstream/fopen/::open writes in src/exp/ checkpoint and "
+       "output files; use write_file_atomic / JsonlAppender"},
       {"governor-charge-release",
        "a class that charges the ResourceGovernor (note_*_admitted / "
        "charge) must release on its drain path (note_*_removed / "

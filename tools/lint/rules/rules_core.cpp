@@ -244,7 +244,7 @@ void check_std_function_hot_path(const std::string& path,
                                  const LineMap& lines, FileFacts* out) {
   // Advisory, scoped to the event engine and the network data path: a
   // std::function per entry costs an allocation and an indirect call on
-  // the hottest loops in the simulator. The public Scheduler::Callback
+  // the hottest loops in the simulator. The public sim::EventCallback
   // boundary is fine (and suppressed at its declaration).
   if (!starts_with(path, "src/sim/") && !starts_with(path, "src/net/")) {
     return;
@@ -259,7 +259,7 @@ void check_std_function_hot_path(const std::string& path,
       add(out, path, line_no, "no-std-function-hot-path",
           "std::function in event-engine hot-path code",
           "store pooled POD entries (timestamp, seq, node index) in the "
-          "engine and keep type-erased callables at the Scheduler::Callback "
+          "engine and keep type-erased callables at the sim::EventCallback "
           "API boundary; suppress with a reason if this is that boundary");
       break;
     }
@@ -269,18 +269,18 @@ void check_std_function_hot_path(const std::string& path,
 void check_unguarded_shared_write(const std::string& path,
                                   const std::vector<Token>& toks,
                                   const LineMap& lines, FileFacts* out) {
-  // Enforced, scoped to the checkpoint/fleet layer: files under src/exp/
-  // write into sweep directories that concurrent fleet workers share, so
-  // every write must be crash-atomic (tmp+fsync+rename), exclusive
-  // (O_EXCL claim), or the sanctioned append+flush journal. The blessed
-  // primitives in result_sink.cpp carry suppressions.
+  // Enforced, scoped to the checkpoint layer: files under src/exp/ write
+  // --resume checkpoint directories and --out finals, which a SIGKILL can
+  // interrupt at any byte and a later --resume must read back. Every
+  // write must be crash-atomic (tmp+fsync+rename) or the sanctioned
+  // append+flush journal, whose torn tail the loader detects. The
+  // blessed primitives in result_sink.cpp carry suppressions.
   if (!starts_with(path, "src/exp/")) return;
   static constexpr std::string_view kRule = "no-unguarded-shared-write";
   static constexpr std::string_view kHint =
-      "route shared-directory writes through exp::write_file_atomic "
-      "(tmp+fsync+rename), exp::write_file_exclusive (O_EXCL claim), or "
-      "exp::JsonlAppender (append+flush journal); suppress with a reason "
-      "if this line IS one of those primitives";
+      "route checkpoint/output writes through exp::write_file_atomic "
+      "(tmp+fsync+rename) or exp::JsonlAppender (append+flush journal); "
+      "suppress with a reason if this line IS one of those primitives";
   for (const auto& [line_no, idx] : lines) {
     const bool has_ofstream = std::any_of(
         idx.begin(), idx.end(),

@@ -7,10 +7,9 @@
 #   1  The bomb is quarantined as resource-exhausted after exactly one
 #      half-budget retry, its row carries the peak_* usage fields, and
 #      every healthy row is untouched by the governor.
-#   2  The journal is byte-identical across --jobs 1, --jobs 4, and a
-#      two-worker --fleet drain in which one worker is SIGKILLed while
-#      the bomb is mid-flight — overload handling must not perturb the
-#      determinism contract.
+#   2  The canonical outputs are byte-identical across --jobs 1 and
+#      --jobs 4 — overload handling must not perturb the determinism
+#      contract.
 #
 # Usage: tools/overload_smoke.sh /path/to/slowcc_sweep
 set -euo pipefail
@@ -29,10 +28,8 @@ fail() {
   exit 1
 }
 
-# sleep_ms keeps each trial slow enough that the SIGKILL below lands
-# mid-bomb; it is part of the spec, so the golden run pays it too.
 common=(--experiment membomb --algorithms tcp
-        --set bomb_trial=1 --set sleep_ms=300
+        --set bomb_trial=1
         --trials 6 --base-seed 7 --trial-max-bytes 64k)
 
 run_expect_quarantine() {
@@ -68,8 +65,8 @@ run_expect_quarantine "reference" "${common[@]}" --jobs 1 \
 check_journal "$work/ref/journal.jsonl" "reference"
 
 # The checkpoint journal is append-order (completion order), so it is
-# only byte-stable for single-threaded and drained-fleet runs; the
-# canonical contract is over the sorted trials.* / cells.* files.
+# only byte-stable for single-threaded runs; the canonical contract is
+# over the sorted trials.* / cells.* files.
 compare_canonical() {
   local dir="$1" label="$2"
   for f in trials.jsonl trials.csv cells.jsonl cells.csv; do
@@ -85,25 +82,5 @@ run_expect_quarantine "jobs 4" "${common[@]}" --jobs 4 \
   --resume "$work/par"
 compare_canonical "$work/par" "jobs 4"
 check_journal "$work/par/journal.jsonl" "jobs 4"
-
-# ---- Fleet drain with a SIGKILL mid-bomb ---------------------------
-fleet_opts=(--jobs 1 --lease-ttl 2 --fleet-poll 0.2 --quiet)
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id a \
-  "${fleet_opts[@]}" &
-pid_a=$!
-sleep 0.5   # worker a has claimed a slow trial
-kill -9 "$pid_a" 2>/dev/null || true
-wait "$pid_a" 2>/dev/null || true
-rc=0
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id b \
-  "${fleet_opts[@]}" || rc=$?
-[[ $rc -eq 1 ]] || fail "fleet: surviving worker exited $rc (want 1)"
-[[ -d "$work/fleet/leases" ]] && fail "fleet: leases/ left after drain"
-compare_canonical "$work/fleet" "fleet"
-cmp -s "$work/ref/journal.jsonl" "$work/fleet/journal.jsonl" \
-  || { diff "$work/ref/journal.jsonl" "$work/fleet/journal.jsonl" >&2 \
-         || true
-       fail "fleet: merged journal differs from the --jobs 1 run"; }
-check_journal "$work/fleet/journal.jsonl" "fleet"
 
 echo "overload_smoke: PASS"

@@ -17,16 +17,21 @@
 //
 // Common keys: seed(1)
 //
+// Bad input fails loudly: a malformed argument (no '='), a value that
+// is not one plain number, an unknown algo, or a gamma that is not a
+// positive number raises SimError(kBadConfig) and exits 2.
+//
 // Examples:
 //   slowcc_explore fairness algo=tfrc gamma=6 period_s=4 amplitude=10
 //   slowcc_explore stabilization algo=rap gamma=128
 //   slowcc_explore smoothness algo=sqrt gamma=2 pattern=mild
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "exp/registry.hpp"
+#include "exp/sweep_spec.hpp"
 #include "scenario/convergence_experiment.hpp"
 #include "scenario/fairness_experiment.hpp"
 #include "scenario/fk_experiment.hpp"
@@ -35,6 +40,7 @@
 #include "scenario/smoothness_experiment.hpp"
 #include "scenario/stabilization_experiment.hpp"
 #include "scenario/static_compat_experiment.hpp"
+#include "sim/error.hpp"
 
 using namespace slowcc;
 
@@ -42,15 +48,17 @@ namespace {
 
 using Args = std::map<std::string, std::string>;
 
+[[noreturn]] void bad(const std::string& detail) {
+  throw sim::SimError(sim::SimErrc::kBadConfig, "slowcc_explore", detail);
+}
+
 Args parse_args(int argc, char** argv) {
   Args out;
   for (int i = 2; i < argc; ++i) {
     const std::string kv = argv[i];
     const auto eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "ignoring malformed argument '%s' (want k=v)\n",
-                   kv.c_str());
-      continue;
+    if (eq == std::string::npos || eq == 0) {
+      bad("malformed argument '" + kv + "' (want key=value)");
     }
     out[kv.substr(0, eq)] = kv.substr(eq + 1);
   }
@@ -59,7 +67,13 @@ Args parse_args(int argc, char** argv) {
 
 double get_num(const Args& a, const char* key, double def) {
   auto it = a.find(key);
-  return it == a.end() ? def : std::atof(it->second.c_str());
+  if (it == a.end()) return def;
+  // The sweep grammar's strict number parser; one value, not a list.
+  const std::vector<double> v = exp::parse_double_list(it->second);
+  if (v.size() != 1) {
+    bad(std::string(key) + " expects one number, got '" + it->second + "'");
+  }
+  return v[0];
 }
 
 std::string get_str(const Args& a, const char* key, const char* def) {
@@ -67,31 +81,15 @@ std::string get_str(const Args& a, const char* key, const char* def) {
   return it == a.end() ? def : it->second;
 }
 
+/// Spell algo/gamma/conservative as one sweep algorithm token
+/// ("tfrc:6:c") and build the flow through exp::parse_flow_spec, so the
+/// command line gets the sweep's algorithm checks, gamma > 0 included.
 scenario::FlowSpec make_spec(const Args& a, const char* default_algo,
                              double default_gamma) {
-  const std::string algo = get_str(a, "algo", default_algo);
-  const double gamma = get_num(a, "gamma", default_gamma);
-  const bool conservative = get_num(a, "conservative", 0) != 0;
-
-  scenario::FlowSpec spec;
-  if (algo == "tcp") {
-    spec = scenario::FlowSpec::tcp(gamma);
-  } else if (algo == "sqrt") {
-    spec = scenario::FlowSpec::sqrt(gamma);
-  } else if (algo == "iiad") {
-    spec = scenario::FlowSpec::iiad();
-  } else if (algo == "rap") {
-    spec = scenario::FlowSpec::rap(gamma);
-  } else if (algo == "tfrc") {
-    spec = scenario::FlowSpec::tfrc(static_cast<int>(gamma), conservative);
-  } else if (algo == "tear") {
-    spec = scenario::FlowSpec::tear();
-  } else {
-    std::fprintf(stderr, "unknown algo '%s' (tcp|sqrt|iiad|rap|tfrc|tear)\n",
-                 algo.c_str());
-    std::exit(2);
-  }
-  return spec;
+  std::string token = get_str(a, "algo", default_algo);
+  token += ":" + get_str(a, "gamma", std::to_string(default_gamma).c_str());
+  if (get_num(a, "conservative", 0) != 0) token += ":c";
+  return exp::parse_flow_spec(token);
 }
 
 int run_stabilization(const Args& a) {
@@ -250,16 +248,21 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const Args args = parse_args(argc, argv);
-  const std::string cmd = argv[1];
-  if (cmd == "stabilization") return run_stabilization(args);
-  if (cmd == "fairness") return run_fairness(args);
-  if (cmd == "convergence") return run_convergence(args);
-  if (cmd == "fk") return run_fk(args);
-  if (cmd == "oscillation") return run_oscillation(args);
-  if (cmd == "smoothness") return run_smoothness(args);
-  if (cmd == "static") return run_static(args);
-  if (cmd == "responsiveness") return run_responsiveness_cmd(args);
+  try {
+    const Args args = parse_args(argc, argv);
+    const std::string cmd = argv[1];
+    if (cmd == "stabilization") return run_stabilization(args);
+    if (cmd == "fairness") return run_fairness(args);
+    if (cmd == "convergence") return run_convergence(args);
+    if (cmd == "fk") return run_fk(args);
+    if (cmd == "oscillation") return run_oscillation(args);
+    if (cmd == "smoothness") return run_smoothness(args);
+    if (cmd == "static") return run_static(args);
+    if (cmd == "responsiveness") return run_responsiveness_cmd(args);
+  } catch (const sim::SimError& ex) {
+    std::fprintf(stderr, "slowcc_explore: %s\n", ex.what());
+    return 2;
+  }
   usage();
   return 2;
 }

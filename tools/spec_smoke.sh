@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Spec library smoke, in three legs:
 #
-#   1  Golden gate: slowcc_spec --check runs every committed spec under
-#      both event engines at a short duration scale and byte-compares
-#      the digests against specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1).
+#   1  Golden gate: slowcc_spec --check runs every committed spec at a
+#      short duration scale and byte-compares the digests against
+#      specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1).
 #   1b Packet-path gate: the same golden check repeated with
 #      SLOWCC_PACKET_PATH=scalar, pinning the batched/pooled and scalar
 #      packet paths to one event stream (DESIGN.md §14). The
@@ -13,8 +13,8 @@
 #   2  Sweep determinism: a spec-driven sweep (algorithm hole filled
 #      from --algorithms, one declared [params] axis swept) must be
 #      byte-identical across --jobs 4 (via --selfcheck, which replays
-#      the grid at --jobs 1), and between --jobs 1 and a two-worker
-#      --fleet drain of the same grid.
+#      the grid at --jobs 1), and the checkpointed finals of a --jobs 1
+#      and a --jobs 4 run must match byte for byte.
 #
 # Usage: tools/spec_smoke.sh /path/to/slowcc_spec /path/to/slowcc_sweep specs/
 set -euo pipefail
@@ -41,7 +41,7 @@ fail() {
   exit 1
 }
 
-# ---- Leg 1: every spec parses, both engines agree, goldens match ----
+# ---- Leg 1: every spec parses and matches its golden ---------------
 "$spec_tool" --check "$specs" || fail "slowcc_spec --check exited $?"
 
 # ---- Leg 1b: scalar packet path reproduces the same goldens ---------
@@ -64,25 +64,19 @@ common=(--spec "$specs/wifi_jitter_burst.toml"
 "$sweep" "${common[@]}" --jobs 4 --selfcheck \
   || fail "spec sweep --jobs 4 --selfcheck exited $?"
 
-# --jobs 1 reference vs a two-worker fleet drain of the same grid.
+# Checkpointed --jobs 1 reference vs --jobs 4. The journal is in
+# completion order, so only the sorted finals are compared.
 "$sweep" "${common[@]}" --jobs 1 --resume "$work/ref" \
   || fail "spec sweep reference run exited $?"
+"$sweep" "${common[@]}" --jobs 4 --resume "$work/par" \
+  || fail "spec sweep --jobs 4 run exited $?"
 
-fleet_opts=(--lease-ttl 5 --fleet-poll 0.1)
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id a \
-  "${fleet_opts[@]}" &
-pid_a=$!
-"$sweep" "${common[@]}" --fleet "$work/fleet" --worker-id b \
-  "${fleet_opts[@]}" || fail "fleet worker b exited $?"
-wait "$pid_a" || fail "fleet worker a exited $?"
-
-for f in journal.jsonl trials.jsonl trials.csv cells.jsonl cells.csv; do
-  if ! cmp -s "$work/ref/$f" "$work/fleet/$f"; then
-    echo "spec_smoke: FAIL ($f differs between --jobs 1 and --fleet)" >&2
-    diff "$work/ref/$f" "$work/fleet/$f" >&2 || true
+for f in trials.jsonl trials.csv cells.jsonl cells.csv; do
+  if ! cmp -s "$work/ref/$f" "$work/par/$f"; then
+    echo "spec_smoke: FAIL ($f differs between --jobs 1 and --jobs 4)" >&2
+    diff "$work/ref/$f" "$work/par/$f" >&2 || true
     exit 1
   fi
 done
-[[ -d "$work/fleet/leases" ]] && fail "leases/ left behind after drain"
 
 echo "spec_smoke: PASS"
