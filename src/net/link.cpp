@@ -42,8 +42,8 @@ Link::Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
 }
 
 Link::~Link() {
-  if (chain_armed_) sim_.disarm_chain(&chain_);
-  if (wire_armed_) sim_.disarm_chain(&wire_chain_);
+  sim_.disarm_chain(&chain_);
+  sim_.disarm_chain(&wire_chain_);
   if (in_flight_h_.valid()) pool_.release(in_flight_h_);
   while (wire_count_ != 0) pool_.release(wire_pop().h);
 }
@@ -145,11 +145,13 @@ void Link::start_transmission() {
     // The drain chain stands in for the transmit-complete event the
     // scalar path would schedule here; minting its seq from the same
     // engine counter keeps the executed (at, seq) stream identical.
-    chain_.at = tx_ends_;
-    chain_.seq = sim_.mint_event_seq();
-    if (!chain_armed_) {
+    const std::uint64_t seq = sim_.mint_event_seq();
+    if (chain_.armed()) {
+      sim_.retime_chain(&chain_, tx_ends_, seq);
+    } else {
+      chain_.at = tx_ends_;
+      chain_.seq = seq;
       sim_.arm_chain(&chain_);
-      chain_armed_ = true;
     }
     return;
   }
@@ -193,8 +195,7 @@ void Link::depart(PacketHandle h) {
 }
 
 void Link::schedule_delivery(PacketHandle h, sim::Time at) {
-  if (wire_count_ != 0 &&
-      at < wire_ring_[(wire_head_ + wire_count_ - 1) % wire_ring_.size()].at) {
+  if (wire_count_ != 0 && at < wire_ring_[wire_slot(wire_count_ - 1)].at) {
     // Non-FIFO delivery (propagation delay shrunk mid-flight, or a
     // wire-model extra delay shorter than an earlier one): the engine
     // keeps the total order. The schedule mints the seq, exactly as
@@ -207,34 +208,34 @@ void Link::schedule_delivery(PacketHandle h, sim::Time at) {
   // stream is bit-identical whichever path carries the delivery.
   const WireEntry entry{at, sim_.mint_event_seq(), h};
   wire_push(entry);
-  if (!wire_armed_) {
+  if (!wire_chain_.armed()) {
     wire_chain_.at = entry.at;
     wire_chain_.seq = entry.seq;
     sim_.arm_chain(&wire_chain_);
-    wire_armed_ = true;
   }
   wire_chain_.pending = wire_count_;
 }
 
 void Link::wire_push(const WireEntry& entry) {
   if (wire_count_ == wire_ring_.size()) {
-    // Warm-up growth only: double (16 floor) and re-lay from the head.
+    // Warm-up growth only: double (16 floor, so the size stays a power
+    // of two for wire_slot's mask) and re-lay from the head.
     // slowcc-lint: allow(no-hot-path-alloc) ring growth is cold; steady state recycles slots
     std::vector<WireEntry> grown(
         std::max<std::size_t>(16, wire_ring_.size() * 2));
     for (std::size_t i = 0; i < wire_count_; ++i) {
-      grown[i] = wire_ring_[(wire_head_ + i) % wire_ring_.size()];
+      grown[i] = wire_ring_[wire_slot(i)];
     }
     wire_ring_ = std::move(grown);
     wire_head_ = 0;
   }
-  wire_ring_[(wire_head_ + wire_count_) % wire_ring_.size()] = entry;
+  wire_ring_[wire_slot(wire_count_)] = entry;
   ++wire_count_;
 }
 
 Link::WireEntry Link::wire_pop() {
   const WireEntry entry = wire_ring_[wire_head_];
-  wire_head_ = (wire_head_ + 1) % wire_ring_.size();
+  wire_head_ = wire_slot(1);
   --wire_count_;
   return entry;
 }
@@ -246,11 +247,9 @@ void Link::wire_step() {
   const WireEntry entry = wire_pop();
   if (wire_count_ != 0) {
     const WireEntry& head = wire_ring_[wire_head_];
-    wire_chain_.at = head.at;
-    wire_chain_.seq = head.seq;
+    sim_.retime_chain(&wire_chain_, head.at, head.seq);
   } else {
     sim_.disarm_chain(&wire_chain_);
-    wire_armed_ = false;
   }
   wire_chain_.pending = wire_count_;
   deliver_pooled(entry.h);
@@ -272,9 +271,8 @@ void Link::drain_step() {
   // transmitter is genuinely free.
   if (up_ && !transmitting() && !queue_->empty()) {
     start_transmission();  // re-arms / re-times the chain in place
-  } else if (chain_armed_ && !transmitting()) {
+  } else if (!transmitting()) {
     sim_.disarm_chain(&chain_);
-    chain_armed_ = false;
   }
 }
 
@@ -330,8 +328,7 @@ void Link::set_bandwidth(double bandwidth_bps) {
     if (path_ == PacketPath::kPooled) {
       // Re-time the chain in place. The seq is re-minted because the
       // scalar path cancels + reschedules here — same counter draw.
-      chain_.at = tx_ends_;
-      chain_.seq = sim_.mint_event_seq();
+      sim_.retime_chain(&chain_, tx_ends_, sim_.mint_event_seq());
     } else {
       sim_.cancel(tx_event_);
       tx_event_ = sim_.schedule_in(rem, [this] { on_transmit_complete(); });
@@ -357,7 +354,6 @@ void Link::set_down() {
   if (transmitting()) {
     if (path_ == PacketPath::kPooled) {
       sim_.disarm_chain(&chain_);
-      chain_armed_ = false;
       const PacketHandle h = in_flight_h_;
       in_flight_h_ = PacketHandle{};
       drop_packet(pool_.get(h), DropReason::kLinkDown);

@@ -214,6 +214,11 @@ class Link {
   }
   void depart(PacketHandle h);  // wire verdict + delivery scheduling
   void schedule_delivery(PacketHandle h, sim::Time at);
+  // Ring index `i` entries past the head; the ring size is a power of
+  // two, so the wrap is a mask rather than a division.
+  [[nodiscard]] std::size_t wire_slot(std::size_t i) const noexcept {
+    return (wire_head_ + i) & (wire_ring_.size() - 1);
+  }
   void wire_push(const WireEntry& entry);
   [[nodiscard]] WireEntry wire_pop();
   void deliver_pooled(PacketHandle h);
@@ -243,7 +248,6 @@ class Link {
   PacketHandle in_flight_h_;
   sim::EventId tx_event_;
   sim::ChainedEvent chain_;
-  bool chain_armed_ = false;
   sim::Time tx_ends_;
 
   // Propagation pipeline (pooled path): a circular FIFO of in-flight
@@ -255,7 +259,6 @@ class Link {
   std::size_t wire_head_ = 0;
   std::size_t wire_count_ = 0;
   sim::ChainedEvent wire_chain_;
-  bool wire_armed_ = false;
 };
 
 }  // namespace slowcc::net

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
@@ -29,6 +31,13 @@ class PacketHandler {
 /// transit packets via a static forwarding table (keyed by destination
 /// node).
 ///
+/// Both tables are flat vectors indexed directly by id: node ids are
+/// dense from 0 (Topology numbers nodes as it adds them) and ports are
+/// dense from 1 (`allocate_port`), so a lookup on every forwarded or
+/// terminated packet is one bounds check and one load — no hashing. A
+/// negative or out-of-range id, or an empty slot, is undeliverable,
+/// exactly as a missing entry is.
+///
 /// Routing is static and computed once by `Topology::compute_routes`;
 /// the paper's scenarios never change topology mid-run (bandwidth
 /// changes are modeled by competing traffic, as in the paper).
@@ -44,13 +53,16 @@ class Node {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Bind `handler` to a local port. Packets addressed to this node and
-  /// port are handed to it. Throws if the port is taken.
+  /// port are handed to it. Throws SimError (kBadTopology) if the port
+  /// is taken or negative.
   void attach(PortId port, PacketHandler& handler);
 
-  /// Release a port binding (used when short flows finish).
+  /// Release a port binding (used when short flows finish); no-op when
+  /// the port is unbound.
   void detach(PortId port);
 
   /// Install/replace the outgoing link for packets destined to `dst`.
+  /// Throws SimError (kBadTopology) if `dst` is negative.
   void set_route(NodeId dst, Link& out);
 
   /// Accept a packet arriving at this node: dispatch locally if it is
@@ -73,10 +85,19 @@ class Node {
   }
 
  private:
+  // Table entry for `id`, or nullptr when the id is negative (it wraps
+  // to a huge index), past the end, or unbound.
+  template <class T>
+  [[nodiscard]] static T* lookup(const std::vector<T*>& table,
+                                 std::int32_t id) noexcept {
+    const auto i = static_cast<std::size_t>(id);
+    return i < table.size() ? table[i] : nullptr;
+  }
+
   NodeId id_;
   std::string name_;
-  std::unordered_map<PortId, PacketHandler*> handlers_;
-  std::unordered_map<NodeId, Link*> routes_;
+  std::vector<PacketHandler*> handlers_;  // indexed by PortId
+  std::vector<Link*> routes_;             // indexed by destination NodeId
   PortId next_port_ = 1;
   std::uint64_t undeliverable_ = 0;
 };

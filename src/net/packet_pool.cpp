@@ -95,13 +95,6 @@ void PacketPool::throw_stale(PacketHandle h, const char* op) const {
           ") — released, recycled, or from another pool");
 }
 
-PacketPool::Slot& PacketPool::live_slot(PacketHandle h, const char* op) {
-  if (h.slot >= capacity()) throw_stale(h, op);
-  Slot& s = slot_at(h.slot);
-  if (!s.live || s.gen != h.gen) throw_stale(h, op);
-  return s;
-}
-
 bool PacketPool::is_live(PacketHandle h) const noexcept {
   if (h.slot >= capacity()) return false;
   const Slot& s = slot_at(h.slot);

@@ -144,7 +144,14 @@ class PacketPool {
   [[nodiscard]] const Slot& slot_at(std::uint32_t idx) const noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSlots - 1)];
   }
-  [[nodiscard]] Slot& live_slot(PacketHandle h, const char* op);
+  // Inline: a forwarded packet's handle is resolved several times per
+  // hop (link, wire, node, sink), so this is on every event's path.
+  [[nodiscard]] Slot& live_slot(PacketHandle h, const char* op) {
+    if (h.slot >= capacity()) throw_stale(h, op);
+    Slot& s = slot_at(h.slot);
+    if (!s.live || s.gen != h.gen) throw_stale(h, op);
+    return s;
+  }
   void add_chunk();
   [[noreturn]] void throw_stale(PacketHandle h, const char* op) const;
 

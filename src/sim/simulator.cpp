@@ -14,6 +14,16 @@ namespace {
 thread_local Simulator::ConstructObserver t_construct_observer;
 thread_local std::uint64_t t_events_executed = 0;
 
+// The run loop's total order: earlier fire time first, then FIFO seq.
+bool earlier(Time a_at, std::uint64_t a_seq, Time b_at,
+             std::uint64_t b_seq) noexcept {
+  return a_at < b_at || (a_at == b_at && a_seq < b_seq);
+}
+
+bool earlier(const ChainedEvent* a, const ChainedEvent* b) noexcept {
+  return earlier(a->at, a->seq, b->at, b->seq);
+}
+
 }  // namespace
 
 Simulator::Simulator() {
@@ -51,6 +61,7 @@ EventId Simulator::schedule_at(Time at, EventCallback cb) {
                    "schedule_at: time in the past (" + at.to_string() + " < " +
                        now_.to_string() + ")");
   }
+  engine_head_stale_ = true;
   return queue_.schedule(at, std::move(cb));
 }
 
@@ -59,6 +70,7 @@ EventId Simulator::schedule_in(Time delay, EventCallback cb) {
     throw SimError(SimErrc::kBadSchedule, "Simulator",
                    "schedule_in: negative delay");
   }
+  engine_head_stale_ = true;
   return queue_.schedule(now_ + delay, std::move(cb));
 }
 
@@ -87,26 +99,70 @@ void Simulator::arm_chain(ChainedEvent* chain) {
                    "arm_chain: time in the past (" + chain->at.to_string() +
                        " < " + now_.to_string() + ")");
   }
-  for (const ChainedEvent* c : chains_) {
-    if (c == chain) {
-      throw SimError(SimErrc::kBadSchedule, "Simulator",
-                     "arm_chain: chain already armed (re-arm in place by "
-                     "updating at/seq instead)");
-    }
+  if (chain->armed()) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "arm_chain: chain already armed (re-arm in place with "
+                   "retime_chain instead)");
   }
-  // One chain per link, armed when its transmitter goes busy: the
-  // vector tops out at the topology's link count, not packet count.
+  // One transmit and one wire chain per link at most: the heap tops
+  // out at twice the topology's link count, not at the packet count.
   chains_.push_back(chain);  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
+  chain_sift_up(chains_.size() - 1);
 }
 
-void Simulator::disarm_chain(const ChainedEvent* chain) noexcept {
-  for (std::size_t i = 0; i < chains_.size(); ++i) {
-    if (chains_[i] == chain) {
-      chains_.erase(chains_.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-      return;
-    }
+void Simulator::throw_bad_retime(const ChainedEvent* chain, Time at) const {
+  if (!chain->armed()) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "retime_chain: chain is not armed (arm_chain it first)");
   }
+  throw SimError(SimErrc::kBadSchedule, "Simulator",
+                 "retime_chain: time in the past (" + at.to_string() + " < " +
+                     now_.to_string() + ")");
+}
+
+void Simulator::disarm_chain(ChainedEvent* chain) noexcept {
+  const std::size_t pos = chain->heap_pos_;
+  if (pos >= chains_.size() || chains_[pos] != chain) return;
+  chain->heap_pos_ = ChainedEvent::kUnarmed;
+  ChainedEvent* last = chains_.back();
+  chains_.pop_back();
+  if (last == chain) return;
+  // Refill the hole with the last leaf; it may belong above or below.
+  chains_[pos] = last;
+  if (pos > 0 && earlier(last, chains_[(pos - 1) / 2])) {
+    chain_sift_up(pos);
+  } else {
+    chain_sift_down(pos);
+  }
+}
+
+void Simulator::chain_sift_up(std::size_t pos) noexcept {
+  ChainedEvent* const moving = chains_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!earlier(moving, chains_[parent])) break;
+    chains_[pos] = chains_[parent];
+    chains_[pos]->heap_pos_ = pos;
+    pos = parent;
+  }
+  chains_[pos] = moving;
+  moving->heap_pos_ = pos;
+}
+
+void Simulator::chain_sift_down(std::size_t pos) noexcept {
+  ChainedEvent* const moving = chains_[pos];
+  const std::size_t n = chains_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && earlier(chains_[child + 1], chains_[child])) ++child;
+    if (!earlier(chains_[child], moving)) break;
+    chains_[pos] = chains_[child];
+    chains_[pos]->heap_pos_ = pos;
+    pos = child;
+  }
+  chains_[pos] = moving;
+  moving->heap_pos_ = pos;
 }
 
 std::vector<Time> Simulator::pending_event_times(
@@ -125,30 +181,27 @@ void Simulator::run() { run_until(Time::max()); }
 void Simulator::run_until(Time deadline) {
   for (;;) {
     // Pick the global minimum by (at, seq) between the engine head and
-    // any armed drain chains. Seqs are minted from one per-queue
+    // the root of the chain heap. Seqs are minted from one per-queue
     // counter, so the pair is a strict total order and the executed
     // stream — what trace_digest() folds — is independent of whether a
     // departure runs as an engine event or a chained sub-event.
-    ChainedEvent* chain = nullptr;
-    for (ChainedEvent* c : chains_) {
-      if (chain == nullptr || c->at < chain->at ||
-          (c->at == chain->at && c->seq < chain->seq)) {
-        chain = c;
-      }
+    if (engine_head_stale_) {
+      engine_live_ = !queue_.empty();
+      if (engine_live_) engine_head_ = queue_.peek();
+      engine_head_stale_ = false;
     }
-    const bool engine_live = !queue_.empty();
-    if (!engine_live && chain == nullptr) break;
+    ChainedEvent* const chain = chains_.empty() ? nullptr : chains_.front();
     bool use_chain;
-    PoppedEvent head;
-    if (engine_live) {
-      head = queue_.peek();
-      use_chain = chain != nullptr &&
-                  (chain->at < head.at ||
-                   (chain->at == head.at && chain->seq < head.seq));
-    } else {
+    if (engine_live_) {
+      use_chain = chain != nullptr && earlier(chain->at, chain->seq,
+                                              engine_head_.at,
+                                              engine_head_.seq);
+    } else if (chain != nullptr) {
       use_chain = true;
+    } else {
+      break;
     }
-    const Time t = use_chain ? chain->at : head.at;
+    const Time t = use_chain ? chain->at : engine_head_.at;
     if (t > deadline) break;
     if (event_budget_ != 0 &&
         events_executed_ - event_budget_base_ >= event_budget_) {
@@ -167,12 +220,13 @@ void Simulator::run_until(Time deadline) {
           fnv1a_u64(fnv1a_u64(trace_digest_,
                               static_cast<std::uint64_t>(chain->at.as_nanos())),
                     chain->seq);
-      // fire() may re-arm the chain in place (next packet of the burst)
-      // or disarm it (queue drained / link down).
+      // fire() may retime the chain (next packet of the burst) or
+      // disarm it (queue drained / link down).
       chain->fire(chain->ctx);
     } else {
       PoppedEvent ev;
       auto cb = queue_.pop(&ev);
+      engine_head_stale_ = true;
       now_ = ev.at;
       ++events_executed_;
       ++t_events_executed;

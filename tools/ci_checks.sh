@@ -27,7 +27,14 @@
 #      runners. Set SLOWCC_ENFORCE_BENCH=1 on a dedicated quiet perf
 #      runner to make both floors hard failures, or SLOWCC_SKIP_BENCH=1
 #      to skip the bench step entirely.
-#   8. lint baseline must stay empty: the hot-path rules were promoted
+#   8. benchmark self-test: slowbench/run.py selftest builds slowbench/
+#      against this tree's src/ into the build dir (CARGO_TARGET_DIR)
+#      and runs both workloads at tiny scale through their digest gate.
+#      Tier-1 never compiles slowbench/src, so this is what catches an
+#      src/sim or src/net API change that breaks the benchmark (~55 s
+#      with the build; skipped with the bench step under
+#      SLOWCC_SKIP_BENCH=1).
+#   9. lint baseline must stay empty: the hot-path rules were promoted
 #      to enforced with tools/lint/baseline.txt driven to empty, and
 #      new entries may not ride in silently — shrinking a finding means
 #      fixing it, not baselining it.
@@ -89,8 +96,11 @@ if [[ "${SLOWCC_SKIP_BENCH:-0}" != "1" ]]; then
   "$build_dir/tools/bench_report" \
     --validate "$build_dir/BENCH_engine.json" "$speedup_flag" 1.5 \
     "$packet_flag" 2.0
+
+  step "benchmark self-test (slowbench/run.py selftest)"
+  CARGO_TARGET_DIR="$build_dir" python3 "$repo_root/slowbench/run.py" selftest
 else
-  step "bench (skipped: SLOWCC_SKIP_BENCH=1)"
+  step "bench + benchmark self-test (skipped: SLOWCC_SKIP_BENCH=1)"
 fi
 
 step "lint baseline growth gate (tools/lint/baseline.txt must stay empty)"

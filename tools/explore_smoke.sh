@@ -40,6 +40,12 @@ expect_bad_config static loss=0.02x
 expect_bad_config static seed=1,2
 expect_bad_config static algo=bogus
 expect_bad_config static algo=tcp conservative=1
+# Misspelt keys and patterns must not silently run the defaults.
+expect_bad_config static gama=2
+expect_bad_config static period_s=2
+expect_bad_config fairness pattern=bogus
+expect_bad_config smoothness pattern=bogus
+expect_bad_config smoothness pattern=square
 
 out="$("$explore" static algo=tcp gamma=2 loss=0.05)" \
   || fail "valid invocation exited $?"

@@ -5,9 +5,9 @@
 //   slowcc_explore <experiment> [key=value ...]
 //
 // Experiments and their keys (defaults in parentheses):
-//   stabilization   algo(tfrc) gamma(256) conservative(0) bw_mbps(24)
-//   fairness        algo(tfrc) gamma(6) conservative(0) period_s(2)
-//                   amplitude(3) pattern(square|saw|rsaw)
+//   stabilization   algo(tfrc) gamma(256) bw_mbps(24)
+//   fairness        algo(tfrc) gamma(6) period_s(2) amplitude(3)
+//                   pattern(square|saw|rsaw)
 //   convergence     algo(tcp) gamma(2) horizon_s(300)
 //   fk              algo(tcp) gamma(2) k(20)
 //   oscillation     algo(tcp) gamma(2) period_s(0.4) amplitude(3)
@@ -15,16 +15,18 @@
 //   static          algo(tcp) gamma(2) loss(0.02)
 //   responsiveness  algo(tfrc) gamma(6)
 //
-// Common keys: seed(1)
+// Common keys: conservative(0) seed(1)
 //
-// Bad input fails loudly: a malformed argument (no '='), a value that
-// is not one plain number, an unknown algo, or a gamma that is not a
-// positive number raises SimError(kBadConfig) and exits 2.
+// Bad input fails loudly: a malformed argument (no '='), a key the
+// experiment does not take, a value that is not one plain number, an
+// unknown algo or pattern, or a gamma that is not a positive number
+// raises SimError(kBadConfig) and exits 2 before anything runs.
 //
 // Examples:
 //   slowcc_explore fairness algo=tfrc gamma=6 period_s=4 amplitude=10
 //   slowcc_explore stabilization algo=rap gamma=128
 //   slowcc_explore smoothness algo=sqrt gamma=2 pattern=mild
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -81,6 +83,27 @@ std::string get_str(const Args& a, const char* key, const char* def) {
   return it == a.end() ? def : it->second;
 }
 
+bool contains(const std::vector<std::string>& names, const std::string& s) {
+  return std::find(names.begin(), names.end(), s) != names.end();
+}
+
+std::string join(const std::vector<std::string>& names, const char* sep) {
+  std::string out;
+  for (const std::string& n : names) out += (out.empty() ? "" : sep) + n;
+  return out;
+}
+
+/// Reject a `pattern=` value outside `known` (a misspelt pattern must
+/// not silently run the default one).
+std::string get_pattern(const Args& a, const char* def,
+                        const std::vector<std::string>& known) {
+  const std::string pat = get_str(a, "pattern", def);
+  if (!contains(known, pat)) {
+    bad("unknown pattern '" + pat + "' (want " + join(known, "|") + ")");
+  }
+  return pat;
+}
+
 /// Spell algo/gamma/conservative as one sweep algorithm token
 /// ("tfrc:6:c") and build the flow through exp::parse_flow_spec, so the
 /// command line gets the sweep's algorithm checks, gamma > 0 included.
@@ -120,7 +143,7 @@ int run_fairness(const Args& a) {
   const double amplitude = get_num(a, "amplitude", 3);
   // amplitude A means available bandwidth oscillates A:1.
   cfg.cbr_peak_fraction = 1.0 - 1.0 / amplitude;
-  const std::string pat = get_str(a, "pattern", "square");
+  const std::string pat = get_pattern(a, "square", {"square", "saw", "rsaw"});
   cfg.pattern = pat == "saw"    ? traffic::PatternKind::kSawtooth
                 : pat == "rsaw" ? traffic::PatternKind::kReverseSawtooth
                                 : traffic::PatternKind::kSquare;
@@ -190,7 +213,7 @@ int run_oscillation(const Args& a) {
 int run_smoothness(const Args& a) {
   scenario::SmoothnessConfig cfg;
   cfg.spec = make_spec(a, "tfrc", 6);
-  cfg.pattern = get_str(a, "pattern", "mild") == "bursty"
+  cfg.pattern = get_pattern(a, "mild", {"mild", "bursty"}) == "bursty"
                     ? scenario::LossPattern::kMoreBursty
                     : scenario::LossPattern::kMildlyBursty;
   cfg.net.seed = static_cast<std::uint64_t>(get_num(a, "seed", 1));
@@ -232,6 +255,39 @@ int run_responsiveness_cmd(const Args& a) {
   return 0;
 }
 
+struct Experiment {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> keys;  // besides the common ones
+};
+
+const std::vector<Experiment>& experiments() {
+  static const std::vector<Experiment> table = {
+      {"stabilization", run_stabilization, {"bw_mbps"}},
+      {"fairness", run_fairness, {"period_s", "amplitude", "pattern"}},
+      {"convergence", run_convergence, {"horizon_s"}},
+      {"fk", run_fk, {"k"}},
+      {"oscillation", run_oscillation, {"period_s", "amplitude"}},
+      {"smoothness", run_smoothness, {"pattern"}},
+      {"static", run_static, {"loss"}},
+      {"responsiveness", run_responsiveness_cmd, {}},
+  };
+  return table;
+}
+
+/// Reject keys the experiment never reads: a misspelt key (gama=2)
+/// must not silently run with the default value.
+void check_keys(const Experiment& e, const Args& a) {
+  std::vector<std::string> known = {"algo", "gamma", "conservative", "seed"};
+  known.insert(known.end(), e.keys.begin(), e.keys.end());
+  for (const auto& [key, value] : a) {
+    if (!contains(known, key)) {
+      bad("unknown key '" + key + "' for " + e.name + " (known: " +
+          join(known, " ") + ")");
+    }
+  }
+}
+
 void usage() {
   std::fprintf(
       stderr,
@@ -251,14 +307,11 @@ int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
     const std::string cmd = argv[1];
-    if (cmd == "stabilization") return run_stabilization(args);
-    if (cmd == "fairness") return run_fairness(args);
-    if (cmd == "convergence") return run_convergence(args);
-    if (cmd == "fk") return run_fk(args);
-    if (cmd == "oscillation") return run_oscillation(args);
-    if (cmd == "smoothness") return run_smoothness(args);
-    if (cmd == "static") return run_static(args);
-    if (cmd == "responsiveness") return run_responsiveness_cmd(args);
+    for (const Experiment& e : experiments()) {
+      if (cmd != e.name) continue;
+      check_keys(e, args);
+      return e.run(args);
+    }
   } catch (const sim::SimError& ex) {
     std::fprintf(stderr, "slowcc_explore: %s\n", ex.what());
     return 2;
