@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -58,9 +59,14 @@ void ParallelRunner::set_policy(const RunnerPolicy& policy) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "ParallelRunner",
                         "max_attempts must be >= 1");
   }
-  if (policy.chaos_rate < 0.0 || policy.chaos_rate > 1.0) {
+  if (!(policy.chaos_rate >= 0.0 && policy.chaos_rate <= 1.0)) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "ParallelRunner",
                         "chaos_rate must be in [0, 1]");
+  }
+  if (!(policy.max_trial_wall_seconds >= 0.0) ||
+      std::isinf(policy.max_trial_wall_seconds)) {
+    throw sim::SimError(sim::SimErrc::kBadConfig, "ParallelRunner",
+                        "max_trial_wall_seconds must be finite and >= 0");
   }
   if (policy.deadline_check_every == 0) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "ParallelRunner",

@@ -14,16 +14,6 @@ namespace {
 thread_local Simulator::ConstructObserver t_construct_observer;
 thread_local std::uint64_t t_events_executed = 0;
 
-// The run loop's total order: earlier fire time first, then FIFO seq.
-bool earlier(Time a_at, std::uint64_t a_seq, Time b_at,
-             std::uint64_t b_seq) noexcept {
-  return a_at < b_at || (a_at == b_at && a_seq < b_seq);
-}
-
-bool earlier(const ChainedEvent* a, const ChainedEvent* b) noexcept {
-  return earlier(a->at, a->seq, b->at, b->seq);
-}
-
 }  // namespace
 
 Simulator::Simulator() {
@@ -104,10 +94,11 @@ void Simulator::arm_chain(ChainedEvent* chain) {
                    "arm_chain: chain already armed (re-arm in place with "
                    "retime_chain instead)");
   }
-  // One transmit and one wire chain per link at most: the heap tops
+  // One transmit and one wire chain per link at most: the set tops
   // out at twice the topology's link count, not at the packet count.
-  chains_.push_back(chain);  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
-  chain_sift_up(chains_.size() - 1);
+  chains_.push_back({});  // slowcc-lint: allow(no-hot-path-alloc) bounded by link count, not packet count
+  chain_settle(chains_.size() - 1, chain_key(chain->at, chain->seq), chain);
+  chain->armed_ = true;
 }
 
 void Simulator::throw_bad_retime(const ChainedEvent* chain, Time at) const {
@@ -120,56 +111,33 @@ void Simulator::throw_bad_retime(const ChainedEvent* chain, Time at) const {
                      now_.to_string() + ")");
 }
 
-void Simulator::disarm_chain(ChainedEvent* chain) noexcept {
-  const std::size_t pos = chain->heap_pos_;
-  if (pos >= chains_.size() || chains_[pos] != chain) return;
-  chain->heap_pos_ = ChainedEvent::kUnarmed;
-  ChainedEvent* last = chains_.back();
-  chains_.pop_back();
-  if (last == chain) return;
-  // Refill the hole with the last leaf; it may belong above or below.
-  chains_[pos] = last;
-  if (pos > 0 && earlier(last, chains_[(pos - 1) / 2])) {
-    chain_sift_up(pos);
-  } else {
-    chain_sift_down(pos);
+void Simulator::retime_buried(ChainedEvent* chain) {
+  const auto it =
+      std::find_if(chains_.begin(), chains_.end(),
+                   [chain](const ChainEntry& e) { return e.chain == chain; });
+  if (it == chains_.end()) {
+    throw SimError(SimErrc::kBadSchedule, "Simulator",
+                   "retime_chain: chain is not armed on this Simulator");
   }
+  // Close the gap toward the back, then settle from the freed back slot.
+  std::copy(it + 1, chains_.end(), it);
+  chain_settle(chains_.size() - 1, chain_key(chain->at, chain->seq), chain);
 }
 
-void Simulator::chain_sift_up(std::size_t pos) noexcept {
-  ChainedEvent* const moving = chains_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!earlier(moving, chains_[parent])) break;
-    chains_[pos] = chains_[parent];
-    chains_[pos]->heap_pos_ = pos;
-    pos = parent;
-  }
-  chains_[pos] = moving;
-  moving->heap_pos_ = pos;
-}
-
-void Simulator::chain_sift_down(std::size_t pos) noexcept {
-  ChainedEvent* const moving = chains_[pos];
-  const std::size_t n = chains_.size();
-  for (;;) {
-    std::size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(chains_[child + 1], chains_[child])) ++child;
-    if (!earlier(chains_[child], moving)) break;
-    chains_[pos] = chains_[child];
-    chains_[pos]->heap_pos_ = pos;
-    pos = child;
-  }
-  chains_[pos] = moving;
-  moving->heap_pos_ = pos;
+void Simulator::disarm_buried(ChainedEvent* chain) noexcept {
+  const auto it =
+      std::find_if(chains_.begin(), chains_.end(),
+                   [chain](const ChainEntry& e) { return e.chain == chain; });
+  if (it == chains_.end()) return;  // not armed on this Simulator
+  chains_.erase(it);
+  chain->armed_ = false;
 }
 
 std::vector<Time> Simulator::pending_event_times(
     std::size_t max_entries) const {
   std::vector<Time> times = queue_.pending_times(max_entries);
   if (!chains_.empty()) {
-    for (const ChainedEvent* c : chains_) times.push_back(c->at);
+    for (const ChainEntry& e : chains_) times.push_back(e.chain->at);
     std::sort(times.begin(), times.end());
     if (times.size() > max_entries) times.resize(max_entries);
   }
@@ -181,27 +149,30 @@ void Simulator::run() { run_until(Time::max()); }
 void Simulator::run_until(Time deadline) {
   for (;;) {
     // Pick the global minimum by (at, seq) between the engine head and
-    // the root of the chain heap. Seqs are minted from one per-queue
+    // the back of the chain set. Seqs are minted from one per-queue
     // counter, so the pair is a strict total order and the executed
     // stream — what trace_digest() folds — is independent of whether a
     // departure runs as an engine event or a chained sub-event.
     if (engine_head_stale_) {
-      engine_live_ = !queue_.empty();
-      if (engine_live_) engine_head_ = queue_.peek();
+      if (queue_.empty()) {
+        engine_key_ = kNoEngineKey;
+      } else {
+        const PoppedEvent head = queue_.peek();
+        engine_key_ = chain_key(head.at, head.seq);
+      }
       engine_head_stale_ = false;
     }
-    ChainedEvent* const chain = chains_.empty() ? nullptr : chains_.front();
-    bool use_chain;
-    if (engine_live_) {
-      use_chain = chain != nullptr && earlier(chain->at, chain->seq,
-                                              engine_head_.at,
-                                              engine_head_.seq);
-    } else if (chain != nullptr) {
-      use_chain = true;
-    } else {
+    ChainedEvent* chain = nullptr;
+    ChainKey key = engine_key_;
+    if (!chains_.empty() && chains_.back().key < key) {
+      chain = chains_.back().chain;
+      key = chains_.back().key;
+    } else if (key == kNoEngineKey) {
       break;
     }
-    const Time t = use_chain ? chain->at : engine_head_.at;
+    const auto at_ns = static_cast<std::uint64_t>(key >> 64);
+    const auto seq = static_cast<std::uint64_t>(key);
+    const Time t = Time::nanos(static_cast<std::int64_t>(at_ns));
     if (t > deadline) break;
     if (event_budget_ != 0 &&
         events_executed_ - event_budget_base_ >= event_budget_) {
@@ -212,28 +183,18 @@ void Simulator::run_until(Time deadline) {
               std::to_string(pending_events()) + " pending)");
     }
     assert(t >= now_);
-    if (use_chain) {
-      now_ = chain->at;
-      ++events_executed_;
-      ++t_events_executed;
-      trace_digest_ =
-          fnv1a_u64(fnv1a_u64(trace_digest_,
-                              static_cast<std::uint64_t>(chain->at.as_nanos())),
-                    chain->seq);
+    now_ = t;
+    ++events_executed_;
+    ++t_events_executed;
+    trace_digest_ =
+        fnv1a_u64_zero_run(fnv1a_u64_zero_run(trace_digest_, at_ns), seq);
+    if (chain != nullptr) {
       // fire() may retime the chain (next packet of the burst) or
       // disarm it (queue drained / link down).
       chain->fire(chain->ctx);
     } else {
-      PoppedEvent ev;
-      auto cb = queue_.pop(&ev);
+      auto cb = queue_.pop(nullptr);
       engine_head_stale_ = true;
-      now_ = ev.at;
-      ++events_executed_;
-      ++t_events_executed;
-      trace_digest_ =
-          fnv1a_u64(fnv1a_u64(trace_digest_,
-                              static_cast<std::uint64_t>(ev.at.as_nanos())),
-                    ev.seq);
       cb();
     }
     // Poll after the callback so events and packets it just created are

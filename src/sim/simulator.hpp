@@ -29,9 +29,10 @@ namespace slowcc::sim {
 ///     makes trace_digest() bit-identical across the two paths
 ///   - `at`/`seq` are written directly only while the chain is unarmed;
 ///     an armed chain moves through Simulator::retime_chain(), which
-///     keeps the chain heap ordered. Re-timing (the next packet of a
-///     burst, set_bandwidth on an in-flight packet) re-mints the seq,
-///     exactly as a cancel+reschedule would
+///     re-sorts the Simulator's chain set (it keeps its own copy of the
+///     key). Re-timing (the next packet of a burst, set_bandwidth on an
+///     in-flight packet) re-mints the seq, exactly as a
+///     cancel+reschedule would
 ///   - the chain is disarmed before `ctx` dies (Links disarm in ~Link;
 ///     components always die before the Simulator they reference)
 struct ChainedEvent {
@@ -48,13 +49,11 @@ struct ChainedEvent {
   std::uint64_t pending = 1;
 
   /// Whether the chain is currently armed on a Simulator.
-  [[nodiscard]] bool armed() const noexcept { return heap_pos_ != kUnarmed; }
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
 
  private:
   friend class Simulator;
-  static constexpr std::size_t kUnarmed = ~std::size_t{0};
-  // Index in the owning Simulator's chain heap; kUnarmed when idle.
-  std::size_t heap_pos_ = kUnarmed;
+  bool armed_ = false;
 };
 
 /// Discrete-event simulation driver.
@@ -96,8 +95,8 @@ class Simulator {
   }
 
   /// Register / move / remove a drain chain. Armed chains sit in a
-  /// binary min-heap keyed by (at, seq); each chain records its heap
-  /// position, so all three calls are O(log n) in the armed count.
+  /// set sorted by (at, seq) with the earliest at the back (see
+  /// chains_ below).
   ///   - arm_chain validates at >= now(); double-arming throws SimError
   ///     (kBadSchedule). The pointed-to event must stay valid while
   ///     armed.
@@ -109,17 +108,25 @@ class Simulator {
   void arm_chain(ChainedEvent* chain);
   void retime_chain(ChainedEvent* chain, Time at, std::uint64_t seq) {
     if (!chain->armed() || at < now_) throw_bad_retime(chain, at);
-    const bool sooner =
-        at < chain->at || (at == chain->at && seq < chain->seq);
     chain->at = at;
     chain->seq = seq;
-    if (sooner) {
-      chain_sift_up(chain->heap_pos_);
+    if (chains_.back().chain == chain) {
+      // The earliest chain re-arming itself (the next packet of a burst,
+      // the next delivery of a wire FIFO): its slot is already the back.
+      chain_settle(chains_.size() - 1, chain_key(at, seq), chain);
     } else {
-      chain_sift_down(chain->heap_pos_);
+      retime_buried(chain);
     }
   }
-  void disarm_chain(ChainedEvent* chain) noexcept;
+  void disarm_chain(ChainedEvent* chain) noexcept {
+    if (!chain->armed()) return;
+    if (chains_.back().chain == chain) {
+      chains_.pop_back();
+      chain->armed_ = false;
+    } else {
+      disarm_buried(chain);
+    }
+  }
 
   /// Run until the queue drains.
   void run();
@@ -169,8 +176,8 @@ class Simulator {
   /// it stands in for via ChainedEvent::pending.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     std::size_t n = queue_.size();
-    for (const ChainedEvent* c : chains_) {
-      n += static_cast<std::size_t>(c->pending);
+    for (const ChainEntry& e : chains_) {
+      n += static_cast<std::size_t>(e.chain->pending);
     }
     return n;
   }
@@ -235,10 +242,41 @@ class Simulator {
   }
 
  private:
-  // Restore the heap order around chains_[pos] after its key changed
-  // or it was placed there; both keep every chain's heap_pos_ current.
-  void chain_sift_up(std::size_t pos) noexcept;
-  void chain_sift_down(std::size_t pos) noexcept;
+  // (at, seq) packed into one integer whose unsigned order is the run
+  // loop's total order. Armed chains and the engine head never precede
+  // now() >= 0, so the fire time's bit pattern sorts as its value.
+  using ChainKey = unsigned __int128;
+  [[nodiscard]] static ChainKey chain_key(Time at, std::uint64_t seq) noexcept {
+    return (static_cast<ChainKey>(static_cast<std::uint64_t>(at.as_nanos()))
+            << 64) |
+           seq;
+  }
+  // Larger than any real key (fire times stop at 2^63 - 1 ns): stands
+  // for "no engine event" so the loop needs no separate liveness test.
+  static constexpr ChainKey kNoEngineKey = ~ChainKey{0};
+
+  struct ChainEntry {
+    ChainKey key;
+    ChainedEvent* chain;
+  };
+
+  // Slot `hole` is free and every entry in front of it is sorted: shift
+  // the entries that fire before `key` one slot back and write the new
+  // entry where the walk stops. Keys are unique (seqs are minted once),
+  // so the walk never compares equal.
+  void chain_settle(std::size_t hole, ChainKey key,
+                    ChainedEvent* chain) noexcept {
+    while (hole > 0 && chains_[hole - 1].key < key) {
+      chains_[hole] = chains_[hole - 1];
+      --hole;
+    }
+    chains_[hole] = ChainEntry{key, chain};
+  }
+  // Retime / disarm of a chain that is not the earliest: a linear find
+  // and erase; in net::Link only set_bandwidth, set_down and ~Link
+  // reach these.
+  void retime_buried(ChainedEvent* chain);
+  void disarm_buried(ChainedEvent* chain) noexcept;
   // retime_chain's error path, out of line so the inline fast path —
   // taken for most packets a link transmits — stays a few instructions.
   [[noreturn]] void throw_bad_retime(const ChainedEvent* chain,
@@ -253,20 +291,22 @@ class Simulator {
   std::uint64_t event_budget_base_ = 0;
   std::uint64_t hook_every_ = 0;
   std::function<void()> hook_;
-  // (at, seq) of the engine's earliest live event, re-read from the
-  // queue only after schedule_*, a successful cancel, or a pop. Engine
-  // events are a few percent of a figure run's events (2.2% on Fig. 3,
-  // 5.9% on Fig. 14); every chain sub-event in between reuses the cache
-  // instead of settling the wheel again.
-  PoppedEvent engine_head_;
-  bool engine_live_ = false;
+  // Key of the engine's earliest live event (kNoEngineKey when none),
+  // re-read from the queue only after schedule_*, a successful cancel,
+  // or a pop. Engine events are a few percent of a figure run's events
+  // (2.2% on Fig. 3, 5.9% on Fig. 14); every chain sub-event in between
+  // reuses the cache instead of settling the wheel again.
+  ChainKey engine_key_ = kNoEngineKey;
   bool engine_head_stale_ = true;
-  // Armed drain chains as a binary min-heap by (at, seq), root first.
-  // A full-scale Fig. 3 run keeps 9.7 chains armed on average (23 at
-  // most) and arms 0.41 chains per executed event, so a linear min-scan
-  // on every iteration plus a search-and-erase on every disarm cost more
-  // than the O(log n) sifts that replace them.
-  std::vector<ChainedEvent*> chains_;
+  // Armed drain chains sorted by key, earliest at the BACK: the run loop
+  // reads back(), and the common moves — the firing chain re-arming for
+  // the next packet or going quiet — are an in-place walk from the back
+  // or a pop_back. A walk shifts only the chains that fire before the
+  // new key, and a transmit chain re-arms one serialization time ahead,
+  // so most walks stop within a slot or two. On a full-scale Fig. 3 run
+  // (9.7 chains armed on average, 23 at most, 0.41 arms per event) this
+  // costs less than the sifts of a binary min-heap did.
+  std::vector<ChainEntry> chains_;
   ResourceGovernor governor_;
   // Declared last: guards (e.g. a Watchdog holding our hook slot) are
   // destroyed first, while the members they release are still alive.

@@ -2,7 +2,6 @@
 
 #include "sim/error.hpp"
 
-
 namespace slowcc::traffic {
 
 OnOffPattern::OnOffPattern(sim::Simulator& sim, CbrSource& source,
@@ -27,6 +26,11 @@ OnOffPattern::OnOffPattern(sim::Simulator& sim, CbrSource& source,
   if (on_time.is_negative() || off_time.is_negative()) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "OnOffPattern",
                         "times must be >= 0");
+  }
+  if (on_time + off_time == sim::Time()) {
+    // A zero period would toggle the phases forever at one instant.
+    throw sim::SimError(sim::SimErrc::kBadConfig, "OnOffPattern",
+                        "on_time + off_time must be > 0");
   }
   if (ramp_steps < 1) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "OnOffPattern",

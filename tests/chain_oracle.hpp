@@ -1,9 +1,10 @@
 #pragma once
 
-// Chain-order oracle and workload for the drain-chain heap.
+// Chain-order oracle and workload for the drain-chain set.
 //
 // LinearChainSim is the run loop sim::Simulator had before armed
-// ChainedEvents moved into an indexed min-heap: every iteration peeks
+// ChainedEvents moved into an ordered structure (an indexed min-heap,
+// then the sorted set with inline keys): every iteration peeks
 // the engine head and scans every armed chain linearly for the
 // (at, seq) minimum; arm searches for a duplicate, disarm searches and
 // erases, and retime just rewrites the chain's fields. It drives the

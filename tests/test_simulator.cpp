@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/error.hpp"
+#include "sim/rng.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
@@ -304,6 +308,106 @@ TEST(Simulator, SecondConstructObserverIsRejected) {
   EXPECT_THROW(Simulator::set_thread_construct_observer([](Simulator&) {}),
                SimError);
   Simulator::set_thread_construct_observer(nullptr);
+}
+
+// The run loop's zero-run fold must equal the reference byte loop for
+// every value: at each byte-width boundary (where the tier changes) and
+// for random hashes and values of every width.
+TEST(ZeroRunFold, MatchesReferenceAtByteWidthBoundaries) {
+  std::vector<std::uint64_t> values = {0, UINT64_MAX,
+                                       std::uint64_t{1} << 63};
+  for (int bits = 8; bits < 64; bits += 8) {
+    values.push_back((std::uint64_t{1} << bits) - 1);
+    values.push_back(std::uint64_t{1} << bits);
+    values.push_back((std::uint64_t{1} << bits) + 1);
+  }
+  for (const std::uint64_t h : {kFnvOffsetBasis, std::uint64_t{0},
+                                UINT64_MAX, std::uint64_t{0x0123456789abcdef}}) {
+    for (const std::uint64_t v : values) {
+      EXPECT_EQ(fnv1a_u64_zero_run(h, v), fnv1a_u64(h, v))
+          << "h=" << h << " v=" << v;
+    }
+  }
+  static_assert(fnv1a_u64_zero_run(kFnvOffsetBasis, 0xffffff) ==
+                fnv1a_u64(kFnvOffsetBasis, 0xffffff));
+  static_assert(fnv1a_u64_zero_run(kFnvOffsetBasis, 0xffffffffffULL) ==
+                fnv1a_u64(kFnvOffsetBasis, 0xffffffffffULL));
+}
+
+TEST(ZeroRunFold, MatchesReferenceOnRandomPairs) {
+  Rng rng(20010827);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t h = rng.next_u64();
+    // Shift by 0..63 so every byte width is drawn about equally often.
+    const std::uint64_t v = rng.next_u64() >> rng.uniform_int(64);
+    ASSERT_EQ(fnv1a_u64_zero_run(h, v), fnv1a_u64(h, v))
+        << "h=" << h << " v=" << v;
+  }
+}
+
+// No golden reaches the fold's full-loop tier (a 190 s figure stays
+// below 2^40 ns), so run a Simulator there directly: fire times on both
+// sides of 2^24 and 2^40 ns and seqs past 2^24, through both the engine
+// and a drain chain, checked against the reference fold.
+struct HopChain {
+  Simulator* sim = nullptr;
+  ChainedEvent chain;
+  std::vector<std::int64_t> times;
+  std::size_t next = 0;
+  std::vector<std::pair<std::int64_t, std::uint64_t>>* executed = nullptr;
+
+  // One ns after each engine event: the two sources interleave.
+  void arm_next() {
+    chain.at = Time::nanos(times[next++] + 1);
+    chain.seq = sim->mint_event_seq();
+    sim->arm_chain(&chain);
+  }
+
+  static void fire(void* ctx) {
+    auto* self = static_cast<HopChain*>(ctx);
+    self->executed->emplace_back(self->sim->now().as_nanos(),
+                                 self->chain.seq);
+    self->sim->disarm_chain(&self->chain);
+    if (self->next < self->times.size()) self->arm_next();
+  }
+};
+
+TEST(Simulator, TraceDigestMatchesReferenceFoldPastFastTiers) {
+  Simulator sim;
+  while (sim.mint_event_seq() < (std::uint64_t{1} << 24) + 3) {
+  }
+  const std::vector<std::int64_t> times = {
+      (std::int64_t{1} << 24) - 1, std::int64_t{1} << 24,
+      (std::int64_t{1} << 40) - 1, std::int64_t{1} << 40,
+      (std::int64_t{1} << 40) + 255, std::int64_t{1} << 62};
+  std::vector<std::pair<std::int64_t, std::uint64_t>> executed;
+  std::vector<std::uint64_t> engine_seq(times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    sim.schedule_at(Time::nanos(times[i]), [&, i] {
+      executed.emplace_back(sim.now().as_nanos(), engine_seq[i]);
+    });
+    // schedule_at drew the event's seq from the counter that
+    // mint_event_seq() advances: it is the value just before this one.
+    engine_seq[i] = sim.mint_event_seq() - 1;
+  }
+  HopChain hop;
+  hop.sim = &sim;
+  hop.chain.fire = &HopChain::fire;
+  hop.chain.ctx = &hop;
+  hop.times = times;
+  hop.executed = &executed;
+  hop.arm_next();
+  sim.run();
+
+  ASSERT_EQ(executed.size(), 2 * times.size());
+  std::uint64_t expected = kFnvOffsetBasis;
+  for (const auto& [at, seq] : executed) {
+    EXPECT_GE(seq, std::uint64_t{1} << 24);
+    expected = fnv1a_u64(fnv1a_u64(expected, static_cast<std::uint64_t>(at)),
+                         seq);
+  }
+  EXPECT_EQ(executed.back().first, (std::int64_t{1} << 62) + 1);
+  EXPECT_EQ(sim.trace_digest(), expected);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
+#include "sim/error.hpp"
 #include "traffic/cbr_source.hpp"
 #include "traffic/flash_crowd.hpp"
 #include "traffic/loss_script.hpp"
@@ -99,6 +100,24 @@ TEST(OnOff, ForceOnOffOverridesPattern) {
   rig.sim.run_until(sim::Time::seconds(4.0));
   EXPECT_NEAR(static_cast<double>(rig.sink.bytes_received()),
               static_cast<double>(with_on), 1500.0);
+}
+
+// A zero period (on + off == 0) would toggle forever at one instant;
+// one zero phase alone still advances time and stays legal.
+TEST(OnOff, RejectsZeroPeriod) {
+  CbrRig rig(0.0);
+  try {
+    OnOffPattern pattern(rig.sim, *rig.cbr, PatternKind::kSquare, 2e6,
+                         sim::Time(), sim::Time());
+    FAIL() << "zero period must throw";
+  } catch (const sim::SimError& e) {
+    EXPECT_EQ(e.code(), sim::SimErrc::kBadConfig);
+  }
+  OnOffPattern on_only(rig.sim, *rig.cbr, PatternKind::kSquare, 2e6,
+                       sim::Time::millis(10), sim::Time());
+  on_only.start_at(sim::Time());
+  rig.sim.run_until(sim::Time::millis(100));
+  EXPECT_EQ(rig.sim.now(), sim::Time::millis(100));
 }
 
 TEST(FlashCrowd, SpawnsApproximatelyRateTimesDuration) {

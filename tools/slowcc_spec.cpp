@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/sweep_spec.hpp"
 #include "sim/error.hpp"
 #include "sim/scheduler.hpp"
 #include "spec/compiler.hpp"
@@ -39,6 +40,17 @@ int usage(const char* argv0, int code) {
                "<specs>/golden)\n",
                argv0);
   return code;
+}
+
+/// --scale: all of the value, finite and > 0. A scale that parses to 0
+/// (or a junk suffix) used to run a different scenario silently.
+double parse_scale(const std::string& text) {
+  const double scale = exp::parse_finite(text, "--scale");
+  if (!(scale > 0.0)) {
+    throw sim::SimError(sim::SimErrc::kBadConfig, "--scale",
+                        "must be > 0, got '" + text + "'");
+  }
+  return scale;
 }
 
 std::vector<std::string> spec_files(const std::string& dir) {
@@ -190,42 +202,43 @@ int main(int argc, char** argv) {
   double scale = -1.0;
   std::uint64_t seed = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "slowcc_spec: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      return usage(argv[0], 0);
-    } else if (arg == "--check") {
-      check_dir = value();
-    } else if (arg == "--list") {
-      list_dir = value();
-    } else if (arg == "--run") {
-      run_file = value();
-    } else if (arg == "--golden") {
-      golden_dir = value();
-    } else if (arg == "--algorithm") {
-      algorithm = value();
-    } else if (arg == "--scale") {
-      scale = std::atof(value().c_str());
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "slowcc_spec: unknown option %s\n", arg.c_str());
-      return usage(argv[0], 2);
-    }
-  }
-
-  const int modes = (check_dir.empty() ? 0 : 1) + (list_dir.empty() ? 0 : 1) +
-                    (run_file.empty() ? 0 : 1);
-  if (modes != 1) return usage(argv[0], 2);
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "slowcc_spec: %s needs a value\n",
+                       arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        return usage(argv[0], 0);
+      } else if (arg == "--check") {
+        check_dir = value();
+      } else if (arg == "--list") {
+        list_dir = value();
+      } else if (arg == "--run") {
+        run_file = value();
+      } else if (arg == "--golden") {
+        golden_dir = value();
+      } else if (arg == "--algorithm") {
+        algorithm = value();
+      } else if (arg == "--scale") {
+        scale = parse_scale(value());
+      } else if (arg == "--seed") {
+        seed = exp::parse_unsigned(value(), "--seed");
+      } else {
+        std::fprintf(stderr, "slowcc_spec: unknown option %s\n", arg.c_str());
+        return usage(argv[0], 2);
+      }
+    }
+
+    const int modes = (check_dir.empty() ? 0 : 1) +
+                      (list_dir.empty() ? 0 : 1) + (run_file.empty() ? 0 : 1);
+    if (modes != 1) return usage(argv[0], 2);
+
     if (!check_dir.empty()) {
       if (golden_dir.empty()) golden_dir = check_dir + "/golden";
       return check_specs(check_dir, golden_dir, scale < 0 ? 0.05 : scale,

@@ -38,6 +38,7 @@
 // subsystem is built around.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -54,6 +55,7 @@
 #include "exp/result_sink.hpp"
 #include "exp/serialize.hpp"
 #include "exp/sweep_spec.hpp"
+#include "sim/error.hpp"
 #include "spec/spec_registry.hpp"
 
 using namespace slowcc;
@@ -138,6 +140,18 @@ bool parse_byte_count(const std::string& text, std::uint64_t* out) {
   if (*end != '\0') return false;
   *out = static_cast<std::uint64_t>(base) * mult;
   return true;
+}
+
+/// A count flag (--jobs, --max-attempts, --trial-weight-cap): all of
+/// the value as an unsigned decimal in [1, INT_MAX].
+int positive_int(const std::string& flag, const std::string& text) {
+  const std::uint64_t v = exp::parse_unsigned(text, flag);
+  if (v < 1 || v > static_cast<std::uint64_t>(INT_MAX)) {
+    throw sim::SimError(sim::SimErrc::kBadConfig, flag,
+                        "must be in [1, " + std::to_string(INT_MAX) +
+                            "], got '" + text + "'");
+  }
+  return static_cast<int>(v);
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -315,18 +329,13 @@ int main(int argc, char** argv) {
       } else if (arg == "--duration-scale") {
         spec.assign("duration_scale", value());
       } else if (arg == "--jobs") {
-        jobs = std::atoi(value().c_str());
-        if (jobs < 1) {
-          std::fprintf(stderr, "slowcc_sweep: --jobs must be >= 1\n");
-          return 2;
-        }
+        jobs = positive_int(arg, value());
       } else if (arg == "--max-attempts") {
-        policy.max_attempts = std::atoi(value().c_str());
+        policy.max_attempts = positive_int(arg, value());
       } else if (arg == "--trial-max-events") {
-        policy.max_trial_events =
-            std::strtoull(value().c_str(), nullptr, 10);
+        policy.max_trial_events = exp::parse_unsigned(value(), arg);
       } else if (arg == "--trial-wall-seconds") {
-        policy.max_trial_wall_seconds = std::atof(value().c_str());
+        policy.max_trial_wall_seconds = exp::parse_finite(value(), arg);
       } else if (arg == "--trial-max-bytes") {
         const std::string v = value();
         if (!parse_byte_count(v, &policy.max_trial_bytes)) {
@@ -337,9 +346,9 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (arg == "--trial-weight-cap") {
-        policy.trial_weight_cap = std::atoi(value().c_str());
+        policy.trial_weight_cap = positive_int(arg, value());
       } else if (arg == "--chaos") {
-        policy.chaos_rate = std::atof(value().c_str());
+        policy.chaos_rate = exp::parse_finite(value(), arg);
       } else if (arg == "--resume") {
         resume_dir = value();
       } else if (arg == "--out") {
