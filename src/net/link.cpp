@@ -16,8 +16,7 @@ Link::Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
       to_(to),
       bandwidth_(bandwidth_bps),
       delay_(propagation_delay),
-      queue_(std::move(queue)),
-      path_(default_packet_path()) {
+      queue_(std::move(queue)) {
   if (bandwidth_ <= 0.0) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "Link",
                         "bandwidth must be positive");
@@ -69,42 +68,9 @@ void Link::drop_packet(const Packet& p, DropReason reason) {
   for (auto* o : observers_) o->on_drop(p, reason);
 }
 
-void Link::send(Packet&& p) {
-  if (path_ == PacketPath::kPooled) {
-    send(pool_.acquire(std::move(p)));
-    return;
-  }
-  ++stats_.arrivals;
-  for (auto* o : observers_) o->on_arrival(p);
-
-  if (!up_) {
-    drop_packet(p, DropReason::kLinkDown);
-    return;
-  }
-
-  if (forced_drop_ && forced_drop_(p)) {
-    drop_packet(p, DropReason::kForced);
-    return;
-  }
-
-  if (auto reason = queue_->enqueue(std::move(p))) {
-    // NOTE: `p` was moved into enqueue, but the queue only consumes the
-    // packet on success; on failure it rejects before moving, so the
-    // observer payload stays valid.
-    drop_packet(p, *reason);
-    return;
-  }
-
-  if (!transmitting()) start_transmission();
-}
+void Link::send(Packet&& p) { send(pool_.acquire(std::move(p))); }
 
 void Link::send(PacketHandle h) {
-  if (path_ == PacketPath::kScalar) {
-    // A pooled upstream forwarding into a scalar link (mixed-mode
-    // simulations): fall back to the value path.
-    send(pool_.take(h));
-    return;
-  }
   ++stats_.arrivals;
   {
     const Packet& p = pool_.get(h);
@@ -135,32 +101,24 @@ void Link::send(PacketHandle h) {
 }
 
 void Link::start_transmission() {
-  if (path_ == PacketPath::kPooled) {
-    const PacketHandle h = queue_->dequeue_handle();
-    if (!h.valid()) return;
-    const sim::Time tx =
-        sim::transmission_time(pool_.get(h).size_bytes, bandwidth_);
-    in_flight_h_ = h;
-    tx_ends_ = sim_.now() + tx;
-    // The drain chain stands in for the transmit-complete event the
-    // scalar path would schedule here; minting its seq from the same
-    // engine counter keeps the executed (at, seq) stream identical.
-    const std::uint64_t seq = sim_.mint_event_seq();
-    if (chain_.armed()) {
-      sim_.retime_chain(&chain_, tx_ends_, seq);
-    } else {
-      chain_.at = tx_ends_;
-      chain_.seq = seq;
-      sim_.arm_chain(&chain_);
-    }
-    return;
-  }
-  auto head = queue_->dequeue();
-  if (!head) return;
-  const sim::Time tx = sim::transmission_time(head->size_bytes, bandwidth_);
-  in_flight_ = std::move(*head);
+  const PacketHandle h = queue_->dequeue_handle();
+  if (!h.valid()) return;
+  const sim::Time tx =
+      sim::transmission_time(pool_.get(h).size_bytes, bandwidth_);
+  in_flight_h_ = h;
   tx_ends_ = sim_.now() + tx;
-  tx_event_ = sim_.schedule_in(tx, [this] { on_transmit_complete(); });
+  // The drain chain stands in for a transmit-complete engine event
+  // scheduled here; minting its seq from the same engine counter keeps
+  // the executed (at, seq) stream identical to that one-event-per-
+  // departure schedule (test::ScalarLink).
+  const std::uint64_t seq = sim_.mint_event_seq();
+  if (chain_.armed()) {
+    sim_.retime_chain(&chain_, tx_ends_, seq);
+  } else {
+    chain_.at = tx_ends_;
+    chain_.seq = seq;
+    sim_.arm_chain(&chain_);
+  }
 }
 
 void Link::depart(PacketHandle h) {
@@ -203,9 +161,9 @@ void Link::schedule_delivery(PacketHandle h, sim::Time at) {
     sim_.schedule_in(at - sim_.now(), Deliver{this, h});
     return;
   }
-  // The seq is minted here — the point where the scalar path would
-  // have scheduled the delivery event — so the executed (at, seq)
-  // stream is bit-identical whichever path carries the delivery.
+  // The seq is minted here — the point where a per-delivery engine
+  // event would have been scheduled — so the executed (at, seq) stream
+  // is bit-identical whether the FIFO or the engine carries it.
   const WireEntry entry{at, sim_.mint_event_seq(), h};
   wire_push(entry);
   if (!wire_chain_.armed()) {
@@ -259,8 +217,7 @@ void Link::drain_step() {
   // One chained sub-event: finish the in-flight packet, then either
   // re-arm the chain in place for the next queued packet or let it go
   // quiet. The (at, seq) this step executed under were minted when the
-  // packet entered the transmitter, exactly where the scalar path
-  // scheduled its transmit-complete event.
+  // packet entered the transmitter (start_transmission).
   const PacketHandle h = in_flight_h_;
   in_flight_h_ = PacketHandle{};
   depart(h);
@@ -278,40 +235,6 @@ void Link::drain_step() {
 
 void Link::deliver_pooled(PacketHandle h) { to_.deliver(h, pool_); }
 
-void Link::on_transmit_complete() {
-  tx_event_ = sim::EventId{};
-  Packet p = std::move(*in_flight_);
-  in_flight_.reset();
-
-  WireVerdict verdict;
-  if (wire_ != nullptr) verdict = wire_->on_wire(p);
-
-  if (verdict.drop) {
-    // Lost on the wire after occupying the transmitter: counted as a
-    // drop instead of a departure so packet conservation still holds.
-    drop_packet(p, DropReason::kImpairment);
-  } else {
-    ++stats_.departures;
-    stats_.bytes_delivered += p.size_bytes;
-    for (auto* o : observers_) o->on_depart(p);
-
-    if (verdict.extra_delay > sim::Time()) ++stats_.reordered;
-    if (verdict.duplicate) {
-      ++stats_.duplicates;
-      Packet copy = p;
-      sim_.schedule_in(
-          delay_ + verdict.extra_delay + verdict.duplicate_delay,
-          [this, q = std::move(copy)]() mutable { to_.deliver(std::move(q)); });
-    }
-    sim_.schedule_in(delay_ + verdict.extra_delay,
-                     [this, q = std::move(p)]() mutable {
-                       to_.deliver(std::move(q));
-                     });
-  }
-
-  if (!queue_->empty()) start_transmission();
-}
-
 void Link::set_bandwidth(double bandwidth_bps) {
   if (bandwidth_bps <= 0.0) {
     throw sim::SimError(sim::SimErrc::kBadConfig, "Link",
@@ -325,14 +248,10 @@ void Link::set_bandwidth(double bandwidth_bps) {
     const double remaining_bits = remaining_s * bandwidth_;
     const sim::Time rem = sim::Time::seconds(remaining_bits / bandwidth_bps);
     tx_ends_ = sim_.now() + rem;
-    if (path_ == PacketPath::kPooled) {
-      // Re-time the chain in place. The seq is re-minted because the
-      // scalar path cancels + reschedules here — same counter draw.
-      sim_.retime_chain(&chain_, tx_ends_, sim_.mint_event_seq());
-    } else {
-      sim_.cancel(tx_event_);
-      tx_event_ = sim_.schedule_in(rem, [this] { on_transmit_complete(); });
-    }
+    // Re-time the chain in place. The seq is re-minted: this is the
+    // counter draw a cancel + reschedule of the transmit-complete event
+    // would make.
+    sim_.retime_chain(&chain_, tx_ends_, sim_.mint_event_seq());
   }
   bandwidth_ = bandwidth_bps;
   notify_state_change();
@@ -352,22 +271,16 @@ void Link::set_down() {
   if (!up_) return;
   up_ = false;
   if (transmitting()) {
-    if (path_ == PacketPath::kPooled) {
-      sim_.disarm_chain(&chain_);
-      const PacketHandle h = in_flight_h_;
-      in_flight_h_ = PacketHandle{};
-      drop_packet(pool_.get(h), DropReason::kLinkDown);
-      pool_.release(h);
-    } else {
-      sim_.cancel(tx_event_);
-      tx_event_ = sim::EventId{};
-      Packet p = std::move(*in_flight_);
-      in_flight_.reset();
-      drop_packet(p, DropReason::kLinkDown);
-    }
+    sim_.disarm_chain(&chain_);
+    const PacketHandle h = in_flight_h_;
+    in_flight_h_ = PacketHandle{};
+    drop_packet(pool_.get(h), DropReason::kLinkDown);
+    pool_.release(h);
   }
-  while (auto head = queue_->dequeue()) {
-    drop_packet(*head, DropReason::kLinkDown);
+  for (PacketHandle h = queue_->dequeue_handle(); h.valid();
+       h = queue_->dequeue_handle()) {
+    drop_packet(pool_.get(h), DropReason::kLinkDown);
+    pool_.release(h);
   }
   notify_state_change();
 }

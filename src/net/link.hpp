@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -91,21 +90,18 @@ struct LinkStats {
 ///    Packets already propagating were past the failure point and
 ///    still deliver.
 ///
-/// Each link runs one of two packet paths, fixed at construction from
-/// `default_packet_path()` (DESIGN.md §14):
-///  * pooled (default): packets live in the simulation's PacketPool and
-///    move as 8-byte handles; back-to-back departures on a saturated
-///    link coalesce into one batched drain chain (a sim::ChainedEvent
-///    re-armed in place per packet instead of one engine event each),
-///    and in-flight deliveries ride a per-link propagation FIFO fronted
-///    by a second chain — one armed chain emits the whole pipeline,
-///    N packets per scheduler interaction, with an engine fallback for
-///    the rare non-FIFO cases (wire extra delays, duplicates, a
-///    propagation delay shrunk mid-flight).
-///  * scalar: the pre-refactor value-semantics path, one engine event
-///    per departure — the differential-test oracle and bench baseline.
-/// Both paths mint identical (at, seq) event streams, so trace digests
-/// and golden traces are path-independent.
+/// Packets live in the simulation's PacketPool and move as 8-byte
+/// handles (DESIGN.md §14). Back-to-back departures on a saturated link
+/// coalesce into one batched drain chain (a sim::ChainedEvent re-armed
+/// in place per packet instead of one engine event each), and in-flight
+/// deliveries ride a per-link propagation FIFO fronted by a second
+/// chain — one armed chain emits the whole pipeline, N packets per
+/// scheduler interaction, with an engine fallback for the rare non-FIFO
+/// cases (wire extra delays, duplicates, a propagation delay shrunk
+/// mid-flight). The executed (at, seq) stream is the one a transmitter
+/// scheduling one engine event per departure and per delivery would
+/// mint; `test::ScalarLink` (tests/scalar_link.hpp) is that transmitter,
+/// and the differential tests hold the two to it.
 class Link {
  public:
   Link(sim::Simulator& sim, Node& from, Node& to, double bandwidth_bps,
@@ -118,12 +114,13 @@ class Link {
   /// pool (links always die before the Simulator they reference).
   ~Link();
 
-  /// Offer a packet for transmission (called by the upstream node).
+  /// Offer a packet by value: it moves into the pool, then takes the
+  /// handle path below.
   void send(Packet&& p);
 
-  /// Offer a pooled packet for transmission (the handle-based fast
-  /// path an upstream Node forwards along). Ownership of `h` passes to
-  /// the link on admission; on drop the link releases it.
+  /// Offer a pooled packet for transmission (what an upstream Node
+  /// forwards along). Ownership of `h` passes to the link on admission;
+  /// on drop the link releases it.
   void send(PacketHandle h);
 
   [[nodiscard]] double bandwidth_bps() const noexcept { return bandwidth_; }
@@ -153,12 +150,9 @@ class Link {
 
   [[nodiscard]] bool is_up() const noexcept { return up_; }
 
-  /// Which packet path this link runs (fixed at construction).
-  [[nodiscard]] PacketPath packet_path() const noexcept { return path_; }
-
   /// True while a packet occupies the transmitter.
   [[nodiscard]] bool transmitting() const noexcept {
-    return in_flight_.has_value() || in_flight_h_.valid();
+    return in_flight_h_.valid();
   }
 
   /// Install a stochastic wire impairment (nullptr clears). The model
@@ -186,7 +180,7 @@ class Link {
   }
 
  private:
-  // Pooled delivery closure: 16 bytes, trivially copyable, so
+  // Delivery closure: 16 bytes, trivially copyable, so
   // scheduling it never leaves std::function's inline buffer.
   struct Deliver {
     Link* link;
@@ -195,7 +189,8 @@ class Link {
   };
 
   // One in-flight delivery in the propagation FIFO: fire time, the seq
-  // minted for it (at exactly the scalar schedule point), its handle.
+  // minted for it (where a per-delivery engine event would have been
+  // scheduled), its handle.
   struct WireEntry {
     sim::Time at;
     std::uint64_t seq = 0;
@@ -203,12 +198,11 @@ class Link {
   };
 
   void start_transmission();
-  void on_transmit_complete();  // scalar: one engine event per departure
-  void drain_step();            // pooled: one chained sub-event per packet
+  void drain_step();  // one chained sub-event per departing packet
   static void drain_thunk(void* ctx) {
     static_cast<Link*>(ctx)->drain_step();
   }
-  void wire_step();             // pooled: deliver the propagation head
+  void wire_step();  // deliver the propagation head
   static void wire_thunk(void* ctx) {
     static_cast<Link*>(ctx)->wire_step();
   }
@@ -236,21 +230,17 @@ class Link {
   PacketFilter forced_drop_;
   WireModel* wire_ = nullptr;
   LinkStats stats_;
-  const PacketPath path_;
   bool up_ = true;
 
   // Transmitter state, kept here (not in an event closure) so
-  // bandwidth changes and link failures can re-time or drop it.
-  // Scalar path: the packet by value + its completion event. Pooled
-  // path: the packet's handle + the drain chain, armed exactly while
-  // a packet occupies the transmitter.
-  std::optional<Packet> in_flight_;
+  // bandwidth changes and link failures can re-time or drop it: the
+  // packet's handle + the drain chain, armed exactly while a packet
+  // occupies the transmitter.
   PacketHandle in_flight_h_;
-  sim::EventId tx_event_;
   sim::ChainedEvent chain_;
   sim::Time tx_ends_;
 
-  // Propagation pipeline (pooled path): a circular FIFO of in-flight
+  // Propagation pipeline: a circular FIFO of in-flight
   // deliveries fronted by one chain armed at the head's (at, seq).
   // Kept fire-time-monotonic by construction — a delivery that would
   // land before the current tail (propagation delay shrunk mid-flight,

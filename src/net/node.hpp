@@ -15,12 +15,12 @@ class Link;
 /// Anything that terminates packets at a node: transport agents, sinks,
 /// traffic generators' receivers.
 ///
-/// Handlers receive the packet by const reference: on the pooled path
-/// it aliases the pool slot (released by the Node right after the call
-/// returns), on the scalar path the caller's value. Handlers needing
-/// the packet beyond the call copy what they keep — in practice they
-/// read a few header fields, which is why the zero-copy terminal
-/// dispatch is free.
+/// Handlers receive the packet by const reference: for a packet off a
+/// link it aliases the pool slot (released by the Node right after the
+/// call returns), for a value injected through `Node::deliver(Packet&&)`
+/// the caller's packet. Handlers needing the packet beyond the call
+/// copy what they keep — in practice they read a few header fields,
+/// which is why the zero-copy terminal dispatch is free.
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
@@ -65,16 +65,18 @@ class Node {
   /// Throws SimError (kBadTopology) if `dst` is negative.
   void set_route(NodeId dst, Link& out);
 
-  /// Accept a packet arriving at this node: dispatch locally if it is
-  /// addressed here, otherwise forward along the route. Packets with no
-  /// local handler or no route are counted and discarded (this happens
-  /// legitimately when a short web flow has already torn down).
+  /// Accept a packet by value (agents inject through this): dispatch
+  /// locally if it is addressed here, otherwise forward along the route
+  /// (the link moves it into the pool). Packets with no local handler
+  /// or no route are counted and discarded (this happens legitimately
+  /// when a short web flow has already torn down).
   void deliver(Packet&& p);
 
-  /// Pooled variant: local packets dispatch by reference into the pool
-  /// slot and the handle is released; forwarded packets pass the handle
-  /// to the next link untouched. Undeliverable handles are released, so
-  /// the node never leaks pool slots.
+  /// Accept a pooled packet off a link: local packets dispatch by
+  /// reference into the pool slot and the handle is released;
+  /// forwarded packets pass the handle to the next link untouched.
+  /// Undeliverable handles are released, so the node never leaks pool
+  /// slots.
   void deliver(PacketHandle h, PacketPool& pool);
 
   /// Allocate a node-unique port (monotonically increasing).

@@ -1,8 +1,5 @@
 #include "net/packet_pool.hpp"
 
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 
 #include "sim/error.hpp"
@@ -10,24 +7,6 @@
 
 namespace slowcc::net {
 namespace {
-
-// Per-thread override so sweep workers and the differential tests can
-// pin a path without affecting concurrently running simulations.
-thread_local std::optional<PacketPath> t_path_override;
-
-PacketPath env_packet_path() noexcept {
-  // Read SLOWCC_PACKET_PATH once; an unknown value falls back to the
-  // pooled path rather than failing, because this is a tuning knob,
-  // not config.
-  static const PacketPath path = [] {
-    const char* env = std::getenv("SLOWCC_PACKET_PATH");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-      return PacketPath::kScalar;
-    }
-    return PacketPath::kPooled;
-  }();
-  return path;
-}
 
 // One pool per (thread, Simulator). A flat vector scanned linearly:
 // a thread runs a handful of simulators at a time (usually one), and
@@ -49,27 +28,6 @@ void forget_pool(sim::Simulator* sim) noexcept {
 }
 
 }  // namespace
-
-const char* packet_path_name(PacketPath path) noexcept {
-  switch (path) {
-    case PacketPath::kScalar:
-      return "scalar";
-    case PacketPath::kPooled:
-      return "pooled";
-  }
-  return "unknown";
-}
-
-PacketPath default_packet_path() noexcept {
-  if (t_path_override.has_value()) return *t_path_override;
-  return env_packet_path();
-}
-
-void set_thread_packet_path(PacketPath path) noexcept {
-  t_path_override = path;
-}
-
-void clear_thread_packet_path() noexcept { t_path_override.reset(); }
 
 PacketPool& PacketPool::of(sim::Simulator& sim) {
   for (PoolEntry& e : t_pools) {

@@ -13,39 +13,10 @@ class Simulator;
 
 namespace slowcc::net {
 
-/// Which packet hot path links use (DESIGN.md §14).
-///  * kPooled (default): packets live in a per-Simulator PacketPool and
-///    flow through queue/link/node as 8-byte handles; back-to-back
-///    departures on a saturated link coalesce into one batched drain
-///    chain (sim::ChainedEvent).
-///  * kScalar: the pre-refactor path — packets move by value and every
-///    departure is its own engine event. Kept as the differential-test
-///    oracle and the macro-bench baseline.
-/// Both paths execute the identical (at, seq) event stream, so trace
-/// digests — and therefore every golden — do not depend on the choice.
-enum class PacketPath {
-  kScalar,
-  kPooled,
-};
-
-/// Stable path name ("scalar" / "pooled") for reports and bench labels.
-[[nodiscard]] const char* packet_path_name(PacketPath path) noexcept;
-
-/// The path a newly constructed Link uses. Resolved as: thread override
-/// (set_thread_packet_path) > the SLOWCC_PACKET_PATH environment
-/// variable ("scalar" / "pooled", read once) > kPooled.
-[[nodiscard]] PacketPath default_packet_path() noexcept;
-
-/// Override the packet path for the calling thread only (sweep workers
-/// stay independent). Pair with clear_thread_packet_path(); the
-/// differential tests drive whole scenarios through each path this way.
-void set_thread_packet_path(PacketPath path) noexcept;
-void clear_thread_packet_path() noexcept;
-
 /// Handle to a pooled Packet: slot index + generation counter, 8 bytes,
 /// trivially copyable — small enough that a delivery closure capturing
-/// {Link*, PacketHandle} fits std::function's inline buffer, so the
-/// pooled path schedules deliveries without touching the heap.
+/// {Link*, PacketHandle} fits std::function's inline buffer, so a link
+/// schedules deliveries without touching the heap.
 ///
 /// `valid()` means "refers to some slot" (a default-constructed handle
 /// does not); whether the slot still holds the same packet is the

@@ -34,10 +34,11 @@ enum class DropReason : std::uint8_t {
 ///
 /// Two enqueue/dequeue surfaces share that storage:
 ///  * the handle API (`enqueue(PacketHandle)` / `dequeue_handle()`)
-///    moves nothing — the pooled link path uses it end to end;
+///    moves nothing — `net::Link` uses it end to end;
 ///  * the value API (`enqueue(Packet&&)` / `dequeue()`) round-trips
 ///    through the pool for callers that own packets by value (tests,
-///    the scalar link path, standalone experiment queues).
+///    the differential oracle `test::ScalarLink`, standalone experiment
+///    queues).
 /// On rejection neither surface consumes the packet: the caller's
 /// Packet (or handle) stays valid for drop observers.
 class Queue {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 
 #include "exp/registry.hpp"
 #include "exp/seed.hpp"
@@ -79,9 +80,21 @@ class Resolver {
   }
 
   /// A `_s` timeline field as simulated Time, scaled by duration_scale.
+  /// A kPositive field is checked again after scaling: a valid value
+  /// that rounds to 0 ns is the scale's fault, so it throws kBadConfig
+  /// (not kBadSpec) here rather than deep inside a constructor.
   [[nodiscard]] sim::Time time_s(const Num& n, double fallback_s,
                                  NumRange range = NumRange::kNonNegative) const {
-    return sim::Time::seconds((*this)(n, fallback_s, range) * scale_);
+    const double v = (*this)(n, fallback_s, range);
+    const sim::Time t = sim::Time::seconds(v * scale_);
+    if (range == NumRange::kPositive && t <= sim::Time()) {
+      std::ostringstream detail;
+      detail << spec_.source << ":" << n.line << ": key '" << n.key
+             << "': " << v << " s" << (n.set ? "" : " (default)")
+             << " is 0 ns under duration_scale " << scale_;
+      throw sim::SimError(sim::SimErrc::kBadConfig, "spec", detail.str());
+    }
+    return t;
   }
 
   /// A `_ms` magnitude field as simulated Time — never scaled.

@@ -1,20 +1,22 @@
 #pragma once
 
-// Differential test harness for the two packet hot paths (DESIGN.md
-// §14): pooled (handles + batched drain chain) vs scalar (by-value
-// packets, one engine event per departure).
+// Differential test harness for the packet path (DESIGN.md §14):
+// net::Link (pooled handles, batched drain chain, propagation FIFO)
+// against the reference test::ScalarLink (by-value packets, one engine
+// event per departure and per delivery).
 //
-// A PathScript is a flat list of send/run/flap/retime operations driven
-// against a one-link rig. run_path_script() executes a script through a
-// chosen PacketPath and renders everything observable — simulated time,
-// executed-event count, the trace digest, every LinkStats counter,
-// queue occupancy, and each delivered packet — into a canonical log
-// string. diff_paths() runs the same script through both paths and,
-// when the logs differ, delta-debugs the script down to a minimal
-// failing core (the engine_diff.hpp ddmin pattern) and returns a report
-// embedding it. Property tests feed this with randomized scripts seeded
-// via sim::Rng; directed regressions encode the batching edge cases
-// (set_down mid-drain, RED drop mid-batch, retiming, wire faults).
+// A PathScript is a flat list of send/run/flap/retime/delay/wire
+// operations driven against a one-link rig. run_path_script<LinkT>()
+// executes a script through one link type and renders everything
+// observable — simulated time, executed-event count, the trace digest,
+// every LinkStats counter, queue occupancy, and each delivered packet —
+// into a canonical log string. diff_paths() runs the same script
+// through both links and, when the logs differ, delta-debugs the
+// script down to a minimal failing core (the engine_diff.hpp ddmin
+// pattern) and returns a report embedding it. Property tests feed this
+// with randomized scripts seeded via sim::Rng; directed regressions
+// encode the batching edge cases (set_down mid-drain, RED drop
+// mid-batch, retiming, delay shrinks, wire faults).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include "net/node.hpp"
 #include "net/packet_pool.hpp"
 #include "net/red_queue.hpp"
+#include "scalar_link.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -41,6 +44,8 @@ struct PathOp {
     kUp,         // link repair
     kBandwidth,  // retime the transmitter (arg = new bps)
     kFilter,     // toggle a deterministic forced-drop filter
+    kDelay,      // set the propagation delay (arg = nanoseconds)
+    kWire,       // toggle the deterministic SeqWireModel
   };
   Kind kind = Kind::kSend;
   std::int64_t arg = 0;
@@ -69,6 +74,27 @@ struct CountingSink final : net::PacketHandler {
   }
 };
 
+/// Wire impairment decided by packet seq alone, so both links see the
+/// same verdicts: every 7th packet is lost, every 5th duplicated (the
+/// copy 250 us behind), every 4th held 1.5 ms — longer than a 1000 B
+/// serialization, so later packets overtake it and the FIFO falls back
+/// to the engine.
+struct SeqWireModel final : net::WireModel {
+  net::WireVerdict on_wire(const net::Packet& p) override {
+    net::WireVerdict v;
+    if (p.seq % 7 == 3) {
+      v.drop = true;
+      return v;
+    }
+    if (p.seq % 5 == 1) {
+      v.duplicate = true;
+      v.duplicate_delay = sim::Time::micros(250);
+    }
+    if (p.seq % 4 == 2) v.extra_delay = sim::Time::micros(1500);
+    return v;
+  }
+};
+
 inline std::unique_ptr<net::Queue> make_queue(sim::Simulator& sim,
                                               const PathRigConfig& cfg) {
   if (!cfg.red) return std::make_unique<net::DropTailQueue>(cfg.queue_limit);
@@ -83,12 +109,12 @@ inline std::unique_ptr<net::Queue> make_queue(sim::Simulator& sim,
 
 }  // namespace detail
 
-/// Execute `script` with links constructed on `path` and render every
-/// observable into a log. The two paths agree iff their logs are equal.
-inline std::string run_path_script(net::PacketPath path,
-                                   const PathScript& script,
-                                   const PathRigConfig& cfg = {}) {
-  net::set_thread_packet_path(path);
+/// Execute `script` on a one-link rig built with `LinkT` (net::Link or
+/// test::ScalarLink) and render every observable into a log. The two
+/// links agree iff their logs are equal.
+template <class LinkT>
+std::string run_path_script(const PathScript& script,
+                            const PathRigConfig& cfg = {}) {
   std::ostringstream log;
   {
     sim::Simulator sim;
@@ -98,10 +124,12 @@ inline std::string run_path_script(net::PacketPath path,
     sink.sim = &sim;
     sink.log = &log;
     b.attach(1, sink);
-    net::Link link(sim, a, b, cfg.bandwidth_bps, cfg.delay,
-                   detail::make_queue(sim, cfg));
+    LinkT link(sim, a, b, cfg.bandwidth_bps, cfg.delay,
+               detail::make_queue(sim, cfg));
+    detail::SeqWireModel wire;
 
     bool filtered = false;
+    bool impaired = false;
     std::int64_t next_seq = 0;
     for (const PathOp& op : script) {
       switch (op.kind) {
@@ -136,6 +164,13 @@ inline std::string run_path_script(net::PacketPath path,
             link.set_forced_drop_filter(nullptr);
           }
           break;
+        case PathOp::Kind::kDelay:
+          link.set_propagation_delay(sim::Time::nanos(op.arg));
+          break;
+        case PathOp::Kind::kWire:
+          impaired = !impaired;
+          link.set_wire_model(impaired ? &wire : nullptr);
+          break;
       }
       const net::LinkStats& s = link.stats();
       log << "t=" << sim.now().as_nanos() << " ev=" << sim.events_executed()
@@ -151,13 +186,13 @@ inline std::string run_path_script(net::PacketPath path,
         << " arr=" << s.arrivals << " dep=" << s.departures
         << " ovf=" << s.drops_overflow << " early=" << s.drops_early
         << " forced=" << s.drops_forced << " down=" << s.drops_link_down
-        << " bytes=" << s.bytes_delivered
+        << " wire=" << s.drops_impairment << " dup=" << s.duplicates
+        << " reord=" << s.reordered << " bytes=" << s.bytes_delivered
         << " q=" << link.queue().length_packets() << "\n";
     log << "pool_live_after_drain="
         << (net::PacketPool::of(sim).live() - link.queue().length_packets())
         << "\n";
   }
-  net::clear_thread_packet_path();
   return log.str();
 }
 
@@ -183,6 +218,12 @@ inline std::string render_path_script(const PathScript& script) {
       case PathOp::Kind::kFilter:
         out << "  filter()\n";
         break;
+      case PathOp::Kind::kDelay:
+        out << "  delay(ns=" << op.arg << ")\n";
+        break;
+      case PathOp::Kind::kWire:
+        out << "  wire()\n";
+        break;
     }
   }
   return out.str();
@@ -190,12 +231,12 @@ inline std::string render_path_script(const PathScript& script) {
 
 inline bool paths_disagree(const PathScript& script,
                            const PathRigConfig& cfg = {}) {
-  return run_path_script(net::PacketPath::kScalar, script, cfg) !=
-         run_path_script(net::PacketPath::kPooled, script, cfg);
+  return run_path_script<ScalarLink>(script, cfg) !=
+         run_path_script<net::Link>(script, cfg);
 }
 
 /// ddmin-style shrink (see engine_diff.hpp): delete chunks while the
-/// scalar/pooled disagreement persists.
+/// ScalarLink/net::Link disagreement persists.
 inline PathScript shrink_path_script(PathScript failing,
                                      const PathRigConfig& cfg = {}) {
   std::size_t chunk = std::max<std::size_t>(1, failing.size() / 2);
@@ -220,26 +261,28 @@ inline PathScript shrink_path_script(PathScript failing,
   }
 }
 
-/// Empty string when both paths agree on `script`; otherwise a failure
+/// Empty string when both links agree on `script`; otherwise a failure
 /// report containing the shrunken minimal script and both logs.
 inline std::string diff_paths(const PathScript& script,
                               const PathRigConfig& cfg = {}) {
   if (!paths_disagree(script, cfg)) return {};
   const PathScript minimal = shrink_path_script(script, cfg);
   std::ostringstream out;
-  out << "scalar and pooled packet paths disagree; minimal script ("
+  out << "test::ScalarLink and net::Link disagree; minimal script ("
       << minimal.size() << " of " << script.size() << " ops):\n"
-      << render_path_script(minimal) << "--- scalar log ---\n"
-      << run_path_script(net::PacketPath::kScalar, minimal, cfg)
-      << "--- pooled log ---\n"
-      << run_path_script(net::PacketPath::kPooled, minimal, cfg);
+      << render_path_script(minimal) << "--- ScalarLink log ---\n"
+      << run_path_script<ScalarLink>(minimal, cfg)
+      << "--- net::Link log ---\n"
+      << run_path_script<net::Link>(minimal, cfg);
   return out.str();
 }
 
 /// Randomized script: sends dominate (bursts saturate the link so the
 /// drain chain actually batches), runs advance time by slices shorter
 /// than one serialization (so flaps and retimes land mid-transmission),
-/// and flaps/retimes/filters are sprinkled in.
+/// and flaps/retimes/filters/delay changes/wire toggles are sprinkled
+/// in. Delays up to 8 ms keep several deliveries in the propagation
+/// FIFO, so a drawn shrink often lands before its tail.
 inline PathScript random_path_script(std::uint64_t seed,
                                      std::size_t num_ops) {
   sim::Rng rng(seed);
@@ -257,15 +300,21 @@ inline PathScript random_path_script(std::uint64_t seed,
       op.kind = PathOp::Kind::kRun;
       // 0..2 ms in 50 us steps: lands inside and across transmissions.
       op.arg = static_cast<std::int64_t>(rng.uniform_int(41)) * 50'000;
-    } else if (roll < 0.87) {
+    } else if (roll < 0.86) {
       op.kind = down ? PathOp::Kind::kUp : PathOp::Kind::kDown;
       down = !down;
-    } else if (roll < 0.94) {
+    } else if (roll < 0.91) {
       op.kind = PathOp::Kind::kBandwidth;
       op.arg = 1'000'000 + static_cast<std::int64_t>(rng.uniform_int(16)) *
                                1'000'000;
-    } else {
+    } else if (roll < 0.94) {
       op.kind = PathOp::Kind::kFilter;
+    } else if (roll < 0.97) {
+      op.kind = PathOp::Kind::kDelay;
+      // 0..8 ms in 250 us steps.
+      op.arg = static_cast<std::int64_t>(rng.uniform_int(33)) * 250'000;
+    } else {
+      op.kind = PathOp::Kind::kWire;
     }
     script.push_back(op);
   }

@@ -10,12 +10,13 @@ namespace slowcc::test {
 namespace {
 
 // ====================================================================
-// Property tests: randomized send/run/flap/retime/filter scripts, the
-// pooled (batched drain chain) and scalar (one event per departure)
-// packet paths must agree on every observable — time, event count,
-// trace digest, link counters, queue occupancy, and each delivered
-// packet. On failure the report embeds the ddmin-shrunken minimal
-// script, so the assertion message is directly actionable.
+// Property tests: on randomized send/run/flap/retime/filter/delay/wire
+// scripts, net::Link (batched drain chain, propagation FIFO) and the
+// reference test::ScalarLink (one engine event per departure and per
+// delivery) must agree on every observable — time, event count, trace
+// digest, link counters, queue occupancy, and each delivered packet.
+// On failure the report embeds the ddmin-shrunken minimal script, so
+// the assertion message is directly actionable.
 
 TEST(PacketPathDiff, RandomizedScriptsAgreeOnDropTail) {
   constexpr std::uint64_t kBaseSeed = 0x9ac4e7aa7bULL;
@@ -26,9 +27,9 @@ TEST(PacketPathDiff, RandomizedScriptsAgreeOnDropTail) {
   }
 }
 
-// RED consumes RNG draws during admission; the paths only agree if the
-// pooled queue makes exactly the same admit() calls in the same order
-// (early drops land mid-batch under saturation).
+// RED consumes RNG draws during admission; the links only agree if
+// net::Link's queue makes exactly the same admit() calls in the same
+// order (early drops land mid-batch under saturation).
 TEST(PacketPathDiff, RandomizedScriptsAgreeOnRed) {
   constexpr std::uint64_t kBaseSeed = 0x9ac45edULL;
   PathRigConfig cfg;
@@ -54,12 +55,12 @@ TEST(PacketPathDiff, ShortScriptsAgree) {
 }
 
 // ====================================================================
-// Directed regressions: the batch-boundary cases named in ISSUE 10.
+// Directed regressions: the batch-boundary cases.
 
 // A burst that saturates the link, then set_down lands mid-drain: the
 // chain must disarm without firing the queued departures, the
 // in-flight packet is dropped as kLinkDown, and the queue flushes —
-// identically to the scalar cancel.
+// identically to the reference's cancel.
 TEST(PacketPathDiff, SetDownInterruptsDrain) {
   PathScript script;
   for (int i = 0; i < 6; ++i) script.push_back({PathOp::Kind::kSend, 1000});
@@ -75,7 +76,7 @@ TEST(PacketPathDiff, SetDownInterruptsDrain) {
 
 // Flap the link while the queue still holds a backlog and immediately
 // resume sending: the first post-repair send must re-arm the chain
-// from scratch (the scalar path schedules a fresh tx event).
+// from scratch (the reference schedules a fresh tx event).
 TEST(PacketPathDiff, FlapThenImmediateResend) {
   PathScript script;
   for (int i = 0; i < 4; ++i) script.push_back({PathOp::Kind::kSend, 800});
@@ -88,7 +89,7 @@ TEST(PacketPathDiff, FlapThenImmediateResend) {
 }
 
 // RED early drop mid-batch: an aggressive RED config dropping under a
-// saturating burst must consume identical RNG draws on both paths —
+// saturating burst must consume identical RNG draws on both links —
 // the drop decisions (and therefore which seqs are delivered) match.
 TEST(PacketPathDiff, RedDropsMidBatch) {
   PathRigConfig cfg;
@@ -118,9 +119,9 @@ TEST(PacketPathDiff, LastPacketOfBatchCanceled) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
-// set_bandwidth mid-transmission re-times the in-flight packet: the
-// pooled path re-mints the chain seq exactly where the scalar path
-// cancels + reschedules, so digests stay identical.
+// set_bandwidth mid-transmission re-times the in-flight packet:
+// net::Link re-mints the chain seq exactly where the reference cancels
+// + reschedules, so digests stay identical.
 TEST(PacketPathDiff, RetimeMidTransmission) {
   PathScript script;
   for (int i = 0; i < 5; ++i) script.push_back({PathOp::Kind::kSend, 1500});
@@ -136,9 +137,9 @@ TEST(PacketPathDiff, RetimeMidTransmission) {
 // Runs of three 40-byte and three 1000-byte packets, with the bandwidth
 // flipped between two rates every 0.7 ms, start packets of the same
 // size across a rate change and packets of a new size at an unchanged
-// rate: a pooled serialization time that lagged either the size or the
-// rate shows as a digest or delivery-time mismatch against the scalar
-// path.
+// rate: a serialization time in net::Link that lagged either the size
+// or the rate shows as a digest or delivery-time mismatch against the
+// reference.
 TEST(PacketPathDiff, AlternatingSizesAcrossBandwidthFlips) {
   PathRigConfig cfg;
   cfg.queue_limit = 64;
@@ -169,6 +170,56 @@ TEST(PacketPathDiff, ForcedDropUnderSaturation) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
+// A long propagation delay fills the wire FIFO, then shrinks while it
+// is full: the next departures land before the FIFO's tail and must
+// take the engine fallback, minting their seqs where the reference
+// schedules its delivery events. Growing the delay again afterwards
+// puts deliveries back behind the engine-carried ones.
+TEST(PacketPathDiff, DelayShrinkMidFlight) {
+  PathRigConfig cfg;
+  cfg.queue_limit = 16;
+  PathScript script;
+  script.push_back({PathOp::Kind::kDelay, 6'000'000});
+  for (int i = 0; i < 10; ++i) script.push_back({PathOp::Kind::kSend, 1000});
+  // Three departures propagating (due at 7, 8, 9 ms), the fourth on
+  // the transmitter.
+  script.push_back({PathOp::Kind::kRun, 3'500'000});
+  script.push_back({PathOp::Kind::kDelay, 200'000});  // lands at 4.2 ms
+  script.push_back({PathOp::Kind::kRun, 2'000'000});
+  script.push_back({PathOp::Kind::kDelay, 0});
+  script.push_back({PathOp::Kind::kRun, 1'000'000});
+  script.push_back({PathOp::Kind::kDelay, 4'000'000});
+  for (int i = 0; i < 4; ++i) script.push_back({PathOp::Kind::kSend, 1000});
+  script.push_back({PathOp::Kind::kRun, 2'500'000});
+  script.push_back({PathOp::Kind::kDelay, 500'000});
+  script.push_back({PathOp::Kind::kRun, 50'000'000});
+  const std::string report = diff_paths(script, cfg);
+  EXPECT_TRUE(report.empty()) << report;
+}
+
+// The wire model duplicates every 5th packet (the copy 250 us behind),
+// holds every 4th 1.5 ms and loses every 7th. The duplicate's delivery
+// seq is minted before the original's, as the reference schedules
+// them; with the copy due later, minting them the other way round
+// changes the executed (at, seq) stream and so the digest.
+TEST(PacketPathDiff, DuplicateOrderMatchesOracle) {
+  PathRigConfig cfg;
+  cfg.queue_limit = 32;
+  PathScript script;
+  script.push_back({PathOp::Kind::kWire, 0});
+  for (int i = 0; i < 24; ++i) script.push_back({PathOp::Kind::kSend, 1000});
+  script.push_back({PathOp::Kind::kRun, 10'000'000});
+  script.push_back({PathOp::Kind::kDelay, 3'000'000});
+  script.push_back({PathOp::Kind::kRun, 40'000'000});
+  const std::string report = diff_paths(script, cfg);
+  EXPECT_TRUE(report.empty()) << report;
+  // The script must exercise every verdict, or agreement proves little.
+  const std::string log = run_path_script<net::Link>(script, cfg);
+  EXPECT_EQ(log.find(" wire=0 "), std::string::npos) << log;
+  EXPECT_EQ(log.find(" dup=0 "), std::string::npos) << log;
+  EXPECT_EQ(log.find(" reord=0 "), std::string::npos) << log;
+}
+
 // ====================================================================
 // Harness self-checks.
 
@@ -182,15 +233,14 @@ TEST(PacketPathDiff, AgreementReportsEmpty) {
 }
 
 // Determinism of the harness itself: the same script renders the same
-// log twice on the same path (no hidden global state between runs).
+// log twice on the same link type (no hidden global state between
+// runs).
 TEST(PacketPathDiff, HarnessIsDeterministicPerPath) {
   const PathScript script = random_path_script(0x9acd37e7ULL, 200);
-  for (const net::PacketPath path :
-       {net::PacketPath::kScalar, net::PacketPath::kPooled}) {
-    const std::string first = run_path_script(path, script);
-    const std::string second = run_path_script(path, script);
-    EXPECT_EQ(first, second);
-  }
+  EXPECT_EQ(run_path_script<ScalarLink>(script),
+            run_path_script<ScalarLink>(script));
+  EXPECT_EQ(run_path_script<net::Link>(script),
+            run_path_script<net::Link>(script));
 }
 
 }  // namespace

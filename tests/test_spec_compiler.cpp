@@ -172,6 +172,40 @@ TEST(SpecCompiler, DurationScaleScalesTimelineNotMagnitudes) {
   EXPECT_EQ(small.row.metrics.size(), big.row.metrics.size());
 }
 
+TEST(SpecCompiler, PositiveTimeThatScalesToZeroIsBadConfig) {
+  // measure_s = 6 s stays 6 ns at 1e-9; the on/off pattern's 0.4 s
+  // off time becomes 0.4 ns, which rounds to 0. The spec is valid, the
+  // scale is not: kBadConfig naming the file, line, key and scale.
+  const ScenarioSpec spec = from_text(R"(
+[scenario]
+name = "scaled_to_zero"
+measure_s = 6
+
+[[flows]]
+algorithm = "tcp"
+
+[[traffic]]
+kind = "onoff"
+rate_mbps = 2
+on_s = 1
+off_s = 0.4
+)");
+  SpecRunOptions opt = fast_opts();
+  opt.duration_scale = 1e-9;
+  try {
+    (void)run_scenario(spec, opt);
+    FAIL() << "a positive time that scales to 0 ns was accepted";
+  } catch (const sim::SimError& e) {
+    EXPECT_EQ(e.code(), sim::SimErrc::kBadConfig);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mem.toml:13: key 'off_s'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("duration_scale 1e-09"), std::string::npos) << what;
+  }
+  opt.duration_scale = 1e-8;  // 4 ns: runs
+  EXPECT_GT(run_scenario(spec, opt).events, 0u);
+}
+
 // ---- registry binding ---------------------------------------------
 
 TEST(SpecRegistry, RegisteredSpecDispatchesThroughRunTrial) {

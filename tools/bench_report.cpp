@@ -3,10 +3,10 @@
 //
 // Generate mode runs bench/micro_engine with google-benchmark's JSON
 // output, pairs the per-variant runs (BM_X/heap vs BM_X/wheel for the
-// event engines, BM_X/scalar vs BM_X/pooled for the packet paths) and
-// writes BENCH_engine.json (schema slowcc.bench_engine.v1) with
-// ns-per-op, items-per-second, the wheel:heap and pooled:scalar
-// speedups per benchmark, and the benchmark child's peak RSS
+// event engines, BM_X/scalar vs BM_X/pooled for the reference link
+// against net::Link) and writes BENCH_engine.json (schema
+// slowcc.bench_engine.v1) with ns-per-op, items-per-second, the
+// wheel:heap and pooled:scalar speedups per benchmark, and the benchmark child's peak RSS
 // (getrusage(RUSAGE_CHILDREN), so a memory regression in the engines
 // shows up next to the timing numbers). Validate mode re-reads such a
 // file and checks the schema and that both variants are present for
@@ -18,7 +18,8 @@
 // acceptance floor) fail validation below the floor (for a dedicated
 // quiet perf runner), while the --advise-* spellings only warn (for
 // shared/virtualized CI, where wall-clock ratios between two
-// in-process benchmarks are not stable enough to gate on):
+// in-process benchmarks are not stable enough to gate on). A floor must
+// be a whole finite number > 0; anything else is a usage error:
 //
 //   bench_report --bench build/bench/micro_engine --out BENCH_engine.json
 //   bench_report --validate BENCH_engine.json [--require-speedup 1.5 |
@@ -31,7 +32,9 @@
 #include <sys/resource.h>
 
 #include <array>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,10 +53,11 @@ constexpr const char* kSchema = "slowcc.bench_engine.v1";
 // The acceptance benchmarks: both engines must report for each.
 const std::vector<std::string> kRequiredBenchmarks = {
     "BM_EventQueueScheduleRun", "BM_EventQueueCancelHeavy"};
-// The packet hot-path macro-benchmarks: both packet paths (scalar and
-// pooled) must report for each, compared as pooled_speedup.
+// The packet hot-path macro-benchmarks: both links (scalar: the
+// reference test::ScalarLink, pooled: net::Link) must report for each,
+// compared as pooled_speedup.
 const std::vector<std::string> kRequiredPacketBenchmarks = {
-    "BM_SaturatedDumbbell"};
+    "BM_SaturatedLink"};
 // Per-layer ledger rows: every listed variant must report; there is no
 // floor (a row is a measurement, not a comparison).
 const std::vector<std::pair<std::string, std::vector<std::string>>>
@@ -66,6 +70,23 @@ struct Sample {
   double ns_per_op = 0.0;
   double items_per_second = 0.0;
 };
+
+/// Parse a speedup floor: the whole string must be a finite number
+/// > 0. Anything else (junk, a trailing unit, a value <= 0, NaN,
+/// overflow or underflow) exits 2, so a mistyped enforced gate cannot pass
+/// everything as a floor of 0.
+double parse_floor(const std::string& flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v <= 0.0) {
+    std::cerr << "bench_report: " << flag << " needs a finite number > 0, got '"
+              << text << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
 
 /// Run `cmd` and capture stdout. Returns false when the command could
 /// not be started or exited non-zero.
@@ -177,7 +198,7 @@ int generate(const std::string& bench_bin, const std::string& out_path,
              const std::string& lint_root) {
   const std::string cmd = bench_bin +
                           " '--benchmark_filter=BM_EventQueue|"
-                          "BM_SaturatedDumbbell|BM_DrainChainCycle'"
+                          "BM_SaturatedLink|BM_DrainChainCycle'"
                           " --benchmark_format=json"
                           " --benchmark_min_time=" +
                           min_time + " 2>/dev/null";
@@ -435,16 +456,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--validate") {
       validate_path = next();
     } else if (arg == "--require-speedup") {
-      floor_speedup = std::strtod(next(), nullptr);
+      floor_speedup = parse_floor(arg, next());
       speedup_advisory = false;
     } else if (arg == "--advise-speedup") {
-      floor_speedup = std::strtod(next(), nullptr);
+      floor_speedup = parse_floor(arg, next());
       speedup_advisory = true;
     } else if (arg == "--require-packet-speedup") {
-      packet_floor = std::strtod(next(), nullptr);
+      packet_floor = parse_floor(arg, next());
       packet_advisory = false;
     } else if (arg == "--advise-packet-speedup") {
-      packet_floor = std::strtod(next(), nullptr);
+      packet_floor = parse_floor(arg, next());
       packet_advisory = true;
     } else {
       std::cerr << "usage: bench_report --bench <micro_engine> [--out F]"

@@ -10,17 +10,21 @@
 #      --jobs 4 sweep, resumed, must match the uninterrupted --jobs 1
 #      output byte-for-byte; spec_smoke: the specs/ library vs its
 #      committed golden digests plus spec-driven sweep determinism
-#      across --jobs 1/--jobs 4; and overload_smoke: a memory-bomb
-#      trial under --trial-max-bytes must quarantine as
-#      resource-exhausted with peak-usage fields while the canonical
-#      outputs stay byte-identical across --jobs 1/--jobs 4)
+#      across --jobs 1/--jobs 4 and scales that round times to 0 ns;
+#      bench_smoke: the perf pipeline end to end plus its strict floor
+#      parsing; and overload_smoke: a memory-bomb trial under
+#      --trial-max-bytes must quarantine as resource-exhausted with
+#      peak-usage fields while the canonical outputs stay
+#      byte-identical across --jobs 1/--jobs 4)
 #   6. spec library golden gate: every specs/*.toml compiled and run
-#      on the event engine, digests byte-compared against specs/golden/
-#      (regen with SLOWCC_REGEN_GOLDEN=1)
+#      on the one event engine and the one packet path, digests
+#      byte-compared against specs/golden/ (regen with
+#      SLOWCC_REGEN_GOLDEN=1)
 #   7. engine perf report: bench_report runs the event-queue
 #      micro-benchmarks (the timer wheel against the reference heap
-#      from tests/) plus the BM_SaturatedDumbbell packet hot-path
-#      macro-bench and writes BENCH_engine.json into the build dir.
+#      from tests/) plus the BM_SaturatedLink packet hot-path
+#      macro-bench (net::Link against the reference test::ScalarLink
+#      from tests/) and writes BENCH_engine.json into the build dir.
 #      The wheel >= 1.5x heap and pooled >= 2x scalar floors are
 #      advisory by default (warn only): wall-clock ratios between two
 #      in-process benchmarks are not stable on shared/virtualized
@@ -81,11 +85,11 @@ step "spec library golden check (slowcc_spec --check specs)"
 
 if [[ "${SLOWCC_SKIP_BENCH:-0}" != "1" ]]; then
   if [[ "${SLOWCC_ENFORCE_BENCH:-0}" == "1" ]]; then
-    step "bench (BENCH_engine.json, enforcing wheel >= 1.5x heap, pooled >= 2x scalar)"
+    step "bench (BENCH_engine.json, enforcing wheel >= 1.5x heap, BM_SaturatedLink pooled >= 2x scalar)"
     speedup_flag="--require-speedup"
     packet_flag="--require-packet-speedup"
   else
-    step "bench (BENCH_engine.json, wheel >= 1.5x heap / pooled >= 2x scalar advisory)"
+    step "bench (BENCH_engine.json, wheel >= 1.5x heap / BM_SaturatedLink pooled >= 2x scalar advisory)"
     speedup_flag="--advise-speedup"
     packet_flag="--advise-packet-speedup"
   fi

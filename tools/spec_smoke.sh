@@ -1,15 +1,11 @@
 #!/usr/bin/env bash
-# Spec library smoke, in three legs:
+# Spec library smoke, in four legs:
 #
 #   1  Golden gate: slowcc_spec --check runs every committed spec at a
 #      short duration scale and byte-compares the digests against
-#      specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1).
-#   1b Packet-path gate: the same golden check repeated with
-#      SLOWCC_PACKET_PATH=scalar, pinning the batched/pooled and scalar
-#      packet paths to one event stream (DESIGN.md §14). The
-#      saturated_dumbbell spec exists for this leg: its bottleneck never
-#      goes idle, so the drain chain and propagation FIFO stay armed for
-#      the whole run.
+#      specs/golden/ (regen: SLOWCC_REGEN_GOLDEN=1). Among them,
+#      saturated_dumbbell keeps its bottleneck busy for the whole run,
+#      so the drain chain and propagation FIFO stay armed throughout.
 #   2  Sweep determinism: a spec-driven sweep (algorithm hole filled
 #      from --algorithms, one declared [params] axis swept) must be
 #      byte-identical across --jobs 4 (via --selfcheck, which replays
@@ -19,6 +15,10 @@
 #      scale so small that an on/off pattern's period rounds to zero
 #      (which once toggled forever at one instant), exit 2 with
 #      [bad-config] and print no result.
+#   4  Scales that round positive times to 0 ns: every spec under
+#      --scale 1e-12 and 1e-10 either prints a result and exits 0, or
+#      exits 2 with [bad-config] and prints nothing (never [bad-spec],
+#      a crash or a hang).
 #
 # Usage: tools/spec_smoke.sh /path/to/slowcc_spec /path/to/slowcc_sweep specs/
 set -euo pipefail
@@ -47,12 +47,6 @@ fail() {
 
 # ---- Leg 1: every spec parses and matches its golden ---------------
 "$spec_tool" --check "$specs" || fail "slowcc_spec --check exited $?"
-
-# ---- Leg 1b: scalar packet path reproduces the same goldens ---------
-[[ -f "$specs/saturated_dumbbell.toml" ]] \
-  || fail "saturated_dumbbell.toml missing — the packet-path leg needs it"
-SLOWCC_PACKET_PATH=scalar "$spec_tool" --check "$specs" \
-  || fail "slowcc_spec --check under SLOWCC_PACKET_PATH=scalar exited $?"
 
 # ---- Leg 2: spec-driven sweep determinism -------------------------
 # wifi_jitter_burst declares the burst_loss param and leaves the flow
@@ -96,6 +90,25 @@ for bad in "--scale abc" "--scale 0" "--scale 0.05x" "--scale 1e-12" \
   grep -q "\[bad-config\]" "$work/bad.err" \
     || fail "--run $bad: stderr lacks [bad-config]: $(cat "$work/bad.err")"
   [[ ! -s "$work/bad.out" ]] || fail "--run $bad printed a result"
+done
+
+# ---- Leg 4: scales that round a positive time to 0 ns -------------
+for scale in 1e-12 1e-10; do
+  for spec in "$specs"/*.toml; do
+    rc=0
+    timeout 20 "$spec_tool" --run "$spec" --scale "$scale" \
+      >"$work/tiny.out" 2>"$work/tiny.err" || rc=$?
+    name="$(basename "$spec") --scale $scale"
+    if [[ $rc -eq 0 ]]; then
+      [[ -s "$work/tiny.out" ]] || fail "$name exited 0 with no result"
+    elif [[ $rc -eq 2 ]]; then
+      grep -q "\[bad-config\]" "$work/tiny.err" \
+        || fail "$name: stderr lacks [bad-config]: $(cat "$work/tiny.err")"
+      [[ ! -s "$work/tiny.out" ]] || fail "$name printed a result"
+    else
+      fail "$name exited $rc (want 0 or 2)"
+    fi
+  done
 done
 
 echo "spec_smoke: PASS"
